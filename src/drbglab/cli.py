@@ -162,10 +162,10 @@ def cmd_game(args: argparse.Namespace) -> int:
         params = HybridParams(
             args.eta, args.num_calls, args.blocks_per_call, adversary=adversary
         )
+        evaluator = GameEvaluator(params, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         _fail(str(exc))
         return EXIT_USAGE
-    evaluator = GameEvaluator(params, trials=args.trials, seed=args.seed)
     checks: list[LemmaCheck] = []
     if args.lemma == "all":
         checks.extend(run_all_lemmas(params, evaluator=evaluator))

@@ -11,22 +11,23 @@ every one of those games as a finite probabilistic computation
 *exact rational* distribution equalities at small ``eta``, falling back
 to Monte Carlo estimation when enumeration is infeasible.
 
-Two evaluation paths compute game probabilities:
+Two exact paths compute game probabilities:
 
 - the faithful path runs :func:`~drbglab.prob.exact_dist` directly on
-  the game's computation tree (feasible only when the total sampled
-  bits are small), and
-- a factored evaluator that exploits the games' structure: blocks from
-  random-bits calls are independent uniform draws, unused samples (for
-  example an instantiate key that no call ever applies) marginalize
-  out, and the adversary is folded incrementally over output blocks so
-  intermediate distributions stay small.
+  the game's computation tree, which is the specification, and
+- the factored evaluator writes each game once as a list of steps (draw
+  an eta-bit block, run one deterministic generate call, answer one
+  oracle query) and propagates them forward over merged integer states
+  (adversary fold, k, v, bad, oracle state). k and v are drawn lazily at
+  their first read, so unused samples marginalize out, and every mass is
+  a Python int over an implicit ``2^bits`` denominator until the game
+  ends.
 
-The two paths are interchangeable — tests pin their equality on every
-game family — and both are exact. Checks pick the factored evaluator
-when the adversary supports incremental folding and the state-space
-estimate fits a budget, the faithful path when the bit count is small,
-and Monte Carlo otherwise.
+Tests pin the two paths equal on every game family. Checks use the
+factored evaluator when the adversary supports incremental folding and
+its state-space estimate fits a budget; otherwise they enumerate the
+faithful tree under a cap on random bits per path, and fall back to
+Monte Carlo estimation when the tree exceeds that cap.
 """
 
 from __future__ import annotations
@@ -34,16 +35,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
 from .prf import Bits, Block, prf_small
 from .prob import (
+    MIN_TRIALS,
     AdvantageEstimate,
     Comp,
+    EnumerationCapExceeded,
     Oracle,
     Return,
     bind,
+    clopper_pearson,
     estimate_pr_true,
     exact_dist,
     mapc,
@@ -199,8 +203,8 @@ class HybridParams:
         prf: Callable[[Block, Bits], Block] | None = None,
         adversary: Any = None,
     ) -> None:
-        if eta < 1:
-            raise ValueError(f"eta must be >= 1, got {eta}")
+        if not 1 <= eta <= 256:
+            raise ValueError(f"eta must be in 1..256, got {eta}")
         if num_calls < 1 or blocks_per_call < 1:
             raise ValueError("num_calls and blocks_per_call must be >= 1")
         self.eta = eta
@@ -543,282 +547,145 @@ def gi_rb_bad(p: HybridParams, i: int) -> Comp:
     )
 
 
-# ----------------------------------------------------------- fast exact path
+# ------------------------------------------------------ the factored evaluator
 #
-# Distributions here are dicts {point: Fraction}. A point carries the
-# adversary's fold state plus whatever the remaining pipeline still
-# needs (chaining value, key, bad flag, random-function cache). Samples
-# that nothing ever reads — the instantiate key in a fully ideal
-# prefix, the external PRF key when call i does not exist — are simply
-# not enumerated: a uniform value that is never used marginalizes out
-# of the outcome distribution. Tests pin this path's output to the
-# faithful enumeration's on every game family.
+# A state is (adversary fold, k, v, bad, oracle state). A uniform sample
+# that nothing reads (the instantiate key of an ideal prefix or of an
+# oracle game, the instantiate v before an ideal call) is never drawn,
+# so it marginalizes out. A draw adds eta bits to the common 2^bits
+# denominator, and a state that ignores the drawn block (a random-function
+# cache hit) collects all 2^eta equal shares.
+
+_K, _V = 1, 2  # state slots that steps read, drawing them on first read
 
 
-class _FastEval:
-    def __init__(self, p: HybridParams) -> None:
-        self.p = p
-        self.adv = p.adversary
+class _Step(NamedTuple):
+    reads: tuple[int, ...]  # slots drawn first if still None
+    draws: bool  # whether fn takes a fresh uniform eta-bit block
+    fn: Callable[..., tuple]  # state -> state, or (state, block) -> state
 
-    # --- deterministic per-call kernels (integer domain)
 
-    def _det_chain(self, k: int, v: int) -> tuple[list[int], int]:
-        blocks = []
-        cur = v
-        for _ in range(self.p.blocks_per_call):
-            cur = self.p.prf_int(k, "c", cur)
-            blocks.append(cur)
-        return blocks, cur
+def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
+    """One shape per generate call: 'ideal', 'spec', 'nov', 'v', or the
+    oracle mode 'prf'/'rf'/'rb' for call i of an oracle-swapped game."""
+    nc = p.num_calls
+    if game == "g_real":
+        return ["spec"] * nc
+    if game == "g1_prg":
+        i = 0
+    elif game == "g_ideal":
+        i = nc
+    elif game not in ("gi_prg", "gi_prf", "gi_rf", "gi_rb"):
+        raise ValueError(f"unknown game {game!r}")
+    elif i is None or i < 0:
+        raise ValueError(f"game {game!r} needs a hybrid index i >= 0, got {i}")
+    shapes = ["ideal" if c < i else "nov" if c == 0 else "v" for c in range(nc)]
+    if game in ("gi_prf", "gi_rf", "gi_rb") and i < nc:
+        shapes[i] = game[3:]
+    return shapes
 
-    def _det_spec(self, k: int, v: int) -> tuple[list[int], int, int]:
-        blocks, last = self._det_chain(k, v)
-        k2 = self.p.prf_int(k, "r", last)
-        return blocks, k2, self.p.prf_int(k2, "c", last)
 
-    def _det_nov(self, k: int, v: int) -> tuple[list[int], int, int]:
-        blocks, last = self._det_chain(k, v)
-        return blocks, self.p.prf_int(k, "r", last), last
+def _steps(p: HybridParams, shapes: list[str]) -> list[_Step]:
+    """The step list of a game, one generate call after another."""
+    eta, n, absorb, f = p.eta, p.blocks_per_call, p.adversary.absorb, p.prf_int
 
-    def _det_v(self, k: int, v: int) -> tuple[list[int], int, int]:
-        return self._det_nov(k, self.p.prf_int(k, "c", v))
+    def ideal_block(st: tuple, x: int) -> tuple:
+        return absorb(st[0], x, eta), st[1], x, st[3], st[4]
 
-    # --- helpers
+    def generate(shape: str) -> _Step:
+        def fn(st: tuple) -> tuple:
+            adv, k, v, bad, orc = st
+            if shape == "v":
+                v = f(k, "c", v)
+            for _ in range(n):
+                v = f(k, "c", v)
+                adv = absorb(adv, v, eta)
+            k2 = f(k, "r", v)
+            if shape == "spec":
+                v = f(k2, "c", v)
+            return adv, k2, v, bad, orc
 
-    def _absorb(self, state: Any, blocks: list[int]) -> Any:
-        for b in blocks:
-            state = self.adv.absorb(state, b, self.p.eta)
-        return state
+        return _Step((_K, _V), False, fn)
 
-    def _det_tail(self, adv_state: Any, k: int, v: int, calls: int, first_nov: bool) -> Any:
-        for idx in range(calls):
-            if idx == 0 and first_nov:
-                blocks, k, v = self._det_nov(k, v)
+    def query(mode: str, kind: str = "c", visible: bool = True) -> _Step:
+        """One query of call i in oracle mode prf, rf or rb. A chain
+        query's input is v, its answer becomes v, and an input already in
+        the trace sets bad. The rekey query's input carries the zero-octet
+        pad, so it never repeats a chain input and every oracle answers it
+        afresh; its answer is the new key, and the trace is dropped. In
+        prf mode the k slot holds the oracle's own key until the rekey."""
+
+        def fn(st: tuple, x: int = 0) -> tuple:
+            adv, k, v, bad, orc = st
+            if kind == "r":
+                return adv, f(k, "r", v) if mode == "prf" else x, v, bad, ()
+            past = [ans for inp, ans in orc if inp == v]
+            if mode == "prf":
+                ans = f(k, "c", v)
+            elif past and mode == "rf":
+                ans = past[0]
             else:
-                blocks, k, v = self._det_v(k, v)
-            adv_state = self._absorb(adv_state, blocks)
-        return adv_state
+                ans = x
+            if visible:
+                adv = absorb(adv, ans, eta)
+            if not past:
+                orc = tuple(sorted(orc + ((v, ans if mode == "rf" else None),)))
+            return adv, k, ans, bad or bool(past), orc
 
-    def _enum_block(self, dist: dict, fn: Callable[[Any, int], Any]) -> dict:
-        out: dict = {}
-        scale = Fraction(1, 1 << self.p.eta)
-        for point, pr in dist.items():
-            base = pr * scale
-            for x in range(1 << self.p.eta):
-                new = fn(point, x)
-                out[new] = out.get(new, Fraction(0)) + base
-        return out
+        return _Step((_K, _V) if mode == "prf" else (_V,), mode != "prf", fn)
 
-    def _rb_prefix(self, calls: int) -> dict:
-        """Distribution over (adv_state, last_block) after `calls` ideal
-        calls; last_block is None before any block is drawn."""
-        dist = {(self.adv.initial(), None): Fraction(1)}
-        eta = self.p.eta
-        for _ in range(calls):
-            for _ in range(self.p.blocks_per_call):
-                dist = self._enum_block(
-                    dist, lambda pt, x: (self.adv.absorb(pt[0], x, eta), x)
-                )
-        return dist
-
-    def _finish(self, dist: dict) -> Fraction:
-        total = Fraction(0)
-        for adv_state, pr in dist.items():
-            total += pr * self.adv.finish_pr(adv_state)
-        return total
-
-    @staticmethod
-    def _marginal_adv(dist: dict) -> dict:
-        out: dict = {}
-        for (adv_state, _last), pr in dist.items():
-            out[adv_state] = out.get(adv_state, Fraction(0)) + pr
-        return out
-
-    # --- closed games
-
-    def _pr_two_block_det(self, run: Callable[[Any, int, int], Any]) -> Fraction:
-        """Enumerate the instantiate pair and run a deterministic pipeline."""
-        space = 1 << self.p.eta
-        weight = Fraction(1, space * space)
-        total = Fraction(0)
-        for k0 in range(space):
-            for v0 in range(space):
-                total += weight * self.adv.finish_pr(run(self.adv.initial(), k0, v0))
-        return total
-
-    def pr_g_real(self) -> Fraction:
-        def run(adv_state: Any, k: int, v: int) -> Any:
-            for _ in range(self.p.num_calls):
-                blocks, k, v = self._det_spec(k, v)
-                adv_state = self._absorb(adv_state, blocks)
-            return adv_state
-
-        return self._pr_two_block_det(run)
-
-    def pr_g1_prg(self) -> Fraction:
-        return self._pr_two_block_det(
-            lambda adv_state, k, v: self._det_tail(
-                adv_state, k, v, self.p.num_calls, first_nov=True
-            )
-        )
-
-    def pr_g_ideal(self) -> Fraction:
-        dist = self._rb_prefix(self.p.num_calls)
-        return self._finish(self._marginal_adv(dist))
-
-    def pr_gi_prg(self, i: int) -> Fraction:
-        j = min(i, self.p.num_calls)
-        if j == 0:
-            return self._pr_two_block_det(
-                lambda adv_state, k, v: self._det_tail(
-                    adv_state, k, v, self.p.num_calls, first_nov=True
-                )
-            )
-        prefix = self._rb_prefix(j)
-        remaining = self.p.num_calls - j
-        if remaining == 0:
-            return self._finish(self._marginal_adv(prefix))
-        # the instantiate key is untouched by ideal calls and feeds the
-        # first PRF call; enumerate it here, per surviving point
-        space = 1 << self.p.eta
-        weight = Fraction(1, space)
-        total = Fraction(0)
-        for (adv_state, last), pr in prefix.items():
-            base = pr * weight
-            for k0 in range(space):
-                end = self._det_tail(adv_state, k0, last, remaining, first_nov=False)
-                total += base * self.adv.finish_pr(end)
-        return total
-
-    # --- oracle-swapped games for hybrid index i
-
-    def gi_oracle_dist(self, i: int, mode: str) -> dict:
-        """Joint distribution over (answer, bad) for gi_{prf,rf,rb}(i).
-
-        mode 'prf' enumerates the external key and runs call i
-        deterministically; 'rb' answers every query fresh; 'rf' caches
-        answers per input. bad is a duplicate input within call i's
-        trace (the rekey input has a different length from every chain
-        input, so only chain inputs can collide).
-        """
-        if not 0 <= i < self.p.num_calls:
-            raise ValueError(f"i must be in 0..{self.p.num_calls - 1}, got {i}")
-        p = self.p
-        nov = i == 0
-        n = p.blocks_per_call
-        space = 1 << p.eta
-        weight = Fraction(1, space)
-
-        if nov:
-            # v entering call 0 is the sampled instantiate v: enumerate it
-            start = {(self.adv.initial(), None): Fraction(1)}
-            entry = self._enum_block(start, lambda pt, x: (pt[0], x))
+    steps: list[_Step] = []
+    for c, shape in enumerate(shapes):
+        if shape == "ideal":
+            steps += [_Step((), True, ideal_block)] * n
+        elif shape in ("spec", "nov", "v"):
+            steps.append(generate(shape))
         else:
-            entry = self._rb_prefix(i)
+            if c > 0:  # the v update that leads the call is a hidden query
+                steps.append(query(shape, visible=False))
+            steps += [query(shape, visible=True) for _ in range(n)]
+            steps.append(query(shape, kind="r"))
+    return steps
 
-        after_call: dict = {}
 
-        def record(point: Any, pr: Fraction) -> None:
-            after_call[point] = after_call.get(point, Fraction(0)) + pr
+def _merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
+    out: dict[Any, int] = {}
+    for point, mass in pairs:
+        out[point] = out.get(point, 0) + mass
+    return out
 
-        if mode == "prf":
-            # deterministic given the external key: replay the query
-            # sequence and read the bad event off the input list
-            for (adv_state, v_in), pr in entry.items():
-                base = pr * weight
-                for kstar in range(space):
-                    inputs = [v_in]
-                    cur = v_in
-                    if not nov:  # hidden first query updates v
-                        cur = p.prf_int(kstar, "c", cur)
-                        inputs.append(cur)
-                    adv2 = adv_state
-                    for _ in range(n):
-                        prev = cur
-                        cur = p.prf_int(kstar, "c", prev)
-                        adv2 = self.adv.absorb(adv2, cur, p.eta)
-                        if _ < n - 1:
-                            inputs.append(cur)
-                    # inputs now holds every chain input of the call
-                    bad = len(set(inputs)) < len(inputs)
-                    k2 = p.prf_int(kstar, "r", cur)
-                    record((adv2, bad, k2, cur), base)
+
+def _propagate(p: HybridParams, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction]:
+    """Exact joint distribution of (adversary answer, bad) in a game."""
+    adv, space = p.adversary, range(1 << p.eta)
+    dist = {(adv.initial(), None, None, False, ()): 1}
+    bits = 0
+
+    def draw(dist: dict[tuple, int], fn: Callable[[tuple, int], tuple]) -> dict[tuple, int]:
+        return _merge((fn(st, x), mass) for st, mass in dist.items() for x in space)
+
+    for step in _steps(p, _call_shapes(p, game, i)):
+        for s in step.reads:
+            if any(st[s] is None for st in dist):
+                dist = draw(
+                    dist,
+                    lambda st, x, s=s: st[:s] + (x,) + st[s + 1 :] if st[s] is None else st
+                )
+                bits += p.eta
+        if step.draws:
+            dist = draw(dist, step.fn)
+            bits += p.eta
         else:
-            # one merged distribution layer per query; points carry the
-            # adversary fold state, the bad flag, the set of chain
-            # inputs used so far, the random-function cache (rf only,
-            # sorted for canonical merging) and the pending chain value
-            hidden_first = not nov
-            total_queries = n + (1 if hidden_first else 0)
-            layer: dict = {}
-            for (adv_state, v_in), pr in entry.items():
-                key = (adv_state, False, frozenset((v_in,)), (), v_in)
-                layer[key] = layer.get(key, Fraction(0)) + pr
-            for done in range(total_queries):
-                visible = not (hidden_first and done == 0)
-                nxt: dict = {}
+            dist = _merge((step.fn(st), mass) for st, mass in dist.items())
 
-                def put(point: Any, pr: Fraction) -> None:
-                    nxt[point] = nxt.get(point, Fraction(0)) + pr
-
-                for (adv2, bad, seen, cache, cur), prob in layer.items():
-                    if done > 0:  # the first input is v_in, seeded above
-                        if cur in seen:
-                            bad = True
-                        seen = seen | {cur}
-                    cached = None
-                    if mode == "rf":
-                        for c_in, c_ans in cache:
-                            if c_in == cur:
-                                cached = c_ans
-                                break
-                    if cached is not None:
-                        adv3 = self.adv.absorb(adv2, cached, p.eta) if visible else adv2
-                        put((adv3, bad, seen, cache, cached), prob)
-                        continue
-                    for ans in range(space):
-                        adv3 = self.adv.absorb(adv2, ans, p.eta) if visible else adv2
-                        cache2 = cache
-                        if mode == "rf":
-                            cache2 = tuple(sorted(cache + ((cur, ans),)))
-                        put((adv3, bad, seen, cache2, ans), prob * weight)
-                layer = nxt
-            # rekey query: its input carries the zero-octet pad, so it
-            # can never duplicate a chain input; answer is fresh in both
-            # rf and rb modes (the input is new either way)
-            for (adv2, bad, _seen, _cache, cur), prob in layer.items():
-                for k2 in range(space):
-                    record((adv2, bad, k2, cur), prob * weight)
-
-        # tail calls i+1 .. num_calls-1 are concrete and deterministic
-        out: dict = {}
-        remaining = p.num_calls - 1 - i
-        for (adv_state, bad, k2, v_last), pr in after_call.items():
-            end = self._det_tail(adv_state, k2, v_last, remaining, first_nov=False)
-            p_true = self.adv.finish_pr(end)
-            for answer, mass in ((True, p_true), (False, 1 - p_true)):
-                if mass == 0:
-                    continue
+    joint: dict[tuple[bool, bool], Fraction] = {}
+    for (adv_state, bad), mass in _merge(((st[0], st[3]), m) for st, m in dist.items()).items():
+        p_true = adv.finish_pr(adv_state)
+        for answer, share in ((True, p_true), (False, 1 - p_true)):
+            if share:
                 key = (answer, bad)
-                out[key] = out.get(key, Fraction(0)) + pr * mass
-        return out
-
-    def pr_gi_oracle(self, i: int, mode: str) -> Fraction:
-        dist = self.gi_oracle_dist(i, mode)
-        return sum(
-            (pr for (answer, _), pr in dist.items() if answer), Fraction(0)
-        )
-
-    def pr_gi_prf(self, i: int) -> Fraction:
-        if i >= self.p.num_calls:
-            # call i never happens; the oracle and its key are unused
-            return self.pr_gi_prg(self.p.num_calls)
-        return self.pr_gi_oracle(i, "prf")
-
-    def pr_gi_rf(self, i: int) -> Fraction:
-        return self.pr_gi_oracle(i, "rf")
-
-    def pr_gi_rb(self, i: int) -> Fraction:
-        return self.pr_gi_oracle(i, "rb")
+                joint[key] = joint.get(key, Fraction(0)) + Fraction(mass, 1 << bits) * share
+    return joint
 
 
 # ------------------------------------------------------------- game registry
@@ -842,30 +709,6 @@ def build_game(p: HybridParams, game: str, i: int | None = None) -> Comp:
         return gi_rf(p, i)
     if game == "gi_rb":
         return gi_rb(p, i)
-    raise ValueError(f"unknown game {game!r}")
-
-
-def naive_bits(p: HybridParams, game: str, i: int | None = None) -> int:
-    """Total sampled bits on the longest path of the faithful tree —
-    the cost driver for direct enumeration."""
-    eta, nc, bpc = p.eta, p.num_calls, p.blocks_per_call
-    inst = 2 * eta
-    if game in ("g_real", "g1_prg"):
-        return inst
-    if game == "g_ideal":
-        return nc * bpc * eta
-    if i is None:
-        raise ValueError(f"game {game!r} needs a hybrid index i")
-    ideal = min(i, nc) * bpc * eta
-    if game == "gi_prg":
-        return inst + ideal
-    if game == "gi_prf":
-        return inst + eta + ideal
-    if game in ("gi_rf", "gi_rb", "gi_rf_bad", "gi_rb_bad"):
-        if i >= nc:
-            return inst + ideal
-        queries = bpc + (2 if i > 0 else 1)
-        return inst + ideal + queries * eta
     raise ValueError(f"unknown game {game!r}")
 
 
@@ -937,34 +780,36 @@ DEFAULT_FAST_OPS_CAP = 2_000_000
 class GameEvaluator:
     """Computes game probabilities, picking the cheapest sound method.
 
-    Preference order: the factored exact evaluator (adversary must
-    support incremental folding and the state-space proxy must fit
-    ``fast_ops_cap``), then faithful enumeration (total sampled bits at
-    most ``naive_bits_cap``), then Monte Carlo with Clopper-Pearson
-    intervals. Results are memoized per evaluator, so a lemma suite
-    shares work across checks.
+    The factored evaluator runs whenever the adversary supports
+    incremental folding and ``state_bound * 2^(2*eta)`` fits
+    ``DEFAULT_FAST_OPS_CAP``: every game is one step list (draw an
+    eta-bit block, run a deterministic generate call, answer an oracle
+    query) propagated forward over merged integer states, with k and v
+    drawn lazily at first read and masses kept as ints over a ``2^bits``
+    denominator until the game ends. Otherwise the faithful tree is
+    enumerated with ``exact_dist`` under ``DEFAULT_NAIVE_BITS_CAP`` random
+    bits per path, and a tree that exceeds the cap falls back to Monte
+    Carlo with Clopper-Pearson intervals. Results are memoized per
+    evaluator, so a lemma suite shares work across checks.
     """
 
     def __init__(
-        self,
-        p: HybridParams,
-        trials: int = DEFAULT_TRIALS,
-        seed: int = DEFAULT_SEED,
-        naive_bits_cap: int = DEFAULT_NAIVE_BITS_CAP,
-        fast_ops_cap: int = DEFAULT_FAST_OPS_CAP,
+        self, p: HybridParams, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
     ) -> None:
+        if trials < MIN_TRIALS:
+            raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
         self.p = p
         self.trials = trials
         self.seed = seed
-        self.naive_bits_cap = naive_bits_cap
         self._pr: dict[tuple, Iv] = {}
         self._joint: dict[tuple, Any] = {}
-        self._fast: _FastEval | None = None
-        if _has_fold_protocol(p.adversary) and p.eta <= 24:
-            space = 1 << p.eta
-            bound = p.adversary.state_bound(p.eta, p.num_calls * p.blocks_per_call)
-            if bound * space * space <= fast_ops_cap:
-                self._fast = _FastEval(p)
+        adv = p.adversary
+        self._factored = (
+            _has_fold_protocol(adv)
+            and p.eta <= 24
+            and adv.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
+            <= DEFAULT_FAST_OPS_CAP
+        )
         self.modes_used: set[str] = set()
 
     # -- Pr[game outputs True]
@@ -976,30 +821,21 @@ class GameEvaluator:
         return self._pr[key]
 
     def _compute_pr(self, game: str, i: int | None) -> Iv:
-        if self._fast is not None:
-            self.modes_used.add("factored")
-            fast = self._fast
-            if game == "g_real":
-                return Iv.of_fraction(fast.pr_g_real())
-            if game == "g1_prg":
-                return Iv.of_fraction(fast.pr_g1_prg())
-            if game == "g_ideal":
-                return Iv.of_fraction(fast.pr_g_ideal())
-            if game == "gi_prg":
-                return Iv.of_fraction(fast.pr_gi_prg(i))
-            if game == "gi_prf":
-                return Iv.of_fraction(fast.pr_gi_prf(i))
-            if game == "gi_rf":
-                return Iv.of_fraction(fast.pr_gi_rf(i))
-            if game == "gi_rb":
-                return Iv.of_fraction(fast.pr_gi_rb(i))
-            raise ValueError(f"unknown game {game!r}")
+        if self._factored:
+            if game in ("gi_rf", "gi_rb"):
+                _, joint = self._joint_dist(game[3:], i)
+            else:
+                self.modes_used.add("factored")
+                joint = _propagate(self.p, game, i)
+            return Iv.of_fraction(sum((pr for (a, _), pr in joint.items() if a), Fraction(0)))
         comp = build_game(self.p, game, i)
-        if naive_bits(self.p, game, i) <= self.naive_bits_cap:
-            self.modes_used.add("enumerated")
-            return Iv.of_fraction(exact_dist(comp, self.naive_bits_cap + 1).pr_true)
-        self.modes_used.add("monte-carlo")
-        return Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
+        try:
+            dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
+        except EnumerationCapExceeded:
+            self.modes_used.add("monte-carlo")
+            return Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
+        self.modes_used.add("enumerated")
+        return Iv.of_fraction(dist.pr_true)
 
     # -- the bad event and the joint (answer, no-bad) masses
 
@@ -1007,22 +843,17 @@ class GameEvaluator:
         key = (oracle, i)
         if key in self._joint:
             return self._joint[key]
-        if not 0 <= i < self.p.num_calls:
+        if i is None or not 0 <= i < self.p.num_calls:
             raise ValueError(f"i must be in 0..{self.p.num_calls - 1}, got {i}")
-        if self._fast is not None:
+        if self._factored:
             self.modes_used.add("factored")
-            value: Any = ("exact", self._fast.gi_oracle_dist(i, oracle))
+            value: Any = ("exact", _propagate(self.p, f"gi_{oracle}", i))
         else:
             builder = gi_rb_bad if oracle == "rb" else gi_rf_dups_bad
             comp = builder(self.p, i)
-            if naive_bits(self.p, f"gi_{oracle}_bad", i) <= self.naive_bits_cap:
-                self.modes_used.add("enumerated")
-                dist = exact_dist(comp, self.naive_bits_cap + 1)
-                value = (
-                    "exact",
-                    {outcome: pr for outcome, pr in dist.items()},
-                )
-            else:
+            try:
+                dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
+            except EnumerationCapExceeded:
                 self.modes_used.add("monte-carlo")
                 outcomes = [(a, b) for a in (True, False) for b in (True, False)]
                 value = (
@@ -1036,6 +867,9 @@ class GameEvaluator:
                         for o in outcomes
                     },
                 )
+            else:
+                self.modes_used.add("enumerated")
+                value = ("exact", dict(dist.items()))
         self._joint[key] = value
         return value
 
@@ -1046,14 +880,12 @@ class GameEvaluator:
                 (pr for (_, bad), pr in dist.items() if bad), Fraction(0)
             )
             return Iv.of_fraction(total)
-        true_bad = dist[(True, True)]
-        false_bad = dist[(False, True)]
-        return Iv(
-            true_bad.ci_low + false_bad.ci_low,
-            true_bad.estimate + false_bad.estimate,
-            min(true_bad.ci_high + false_bad.ci_high, 1.0),
-            False,
-        )
+        # both estimates replay the same seeded trials, so their hits add
+        # up to the bad-event count: one interval for the pooled count
+        true_bad, false_bad = dist[(True, True)], dist[(False, True)]
+        hits, trials = true_bad.hits + false_bad.hits, true_bad.trials
+        low, high = clopper_pearson(hits, trials)
+        return Iv(low, hits / trials, high, False)
 
     def pr_joint_no_bad(self, oracle: str, i: int, answer: bool) -> Iv:
         kind, dist = self._joint_dist(oracle, i)

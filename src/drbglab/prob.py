@@ -161,26 +161,27 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
     states that end up in results.
     """
     acc: dict[Any, Fraction] = {}
-    stack: list[tuple[Comp, int]] = [(comp, 0)]
+    # depth first, each Sample's branches built only when reached, so a
+    # tree whose first path is over the cap fails at once
+    stack: list[tuple[Iterator[Comp], int]] = [(iter((comp,)), 0)]
     while stack:
-        c, bits = stack.pop()
-        while True:
-            if isinstance(c, Return):
-                acc[c.value] = acc.get(c.value, Fraction(0)) + Fraction(1, 1 << bits)
-                break
-            if isinstance(c, Query):
-                raise TypeError(
-                    "computation still contains Query nodes; "
-                    "apply run_with_oracle first"
-                )
-            if bits + c.width > max_path_bits:
-                raise EnumerationCapExceeded(
-                    f"path needs more than {max_path_bits} random bits"
-                )
-            bits += c.width
-            for x in range(1, 1 << c.width):
-                stack.append((c.k(x), bits))
-            c = c.k(0)
+        branches, bits = stack[-1]
+        c = next(branches, None)
+        if c is None:
+            stack.pop()
+        elif isinstance(c, Return):
+            acc[c.value] = acc.get(c.value, Fraction(0)) + Fraction(1, 1 << bits)
+        elif isinstance(c, Query):
+            raise TypeError(
+                "computation still contains Query nodes; "
+                "apply run_with_oracle first"
+            )
+        elif bits + c.width > max_path_bits:
+            raise EnumerationCapExceeded(
+                f"path needs more than {max_path_bits} random bits"
+            )
+        else:
+            stack.append((map(c.k, range(1 << c.width)), bits + c.width))
     return Distribution.from_dict(acc)
 
 
@@ -244,8 +245,24 @@ class AdvantageEstimate:
     ci_high: float
     trials: int
 
+    @property
+    def hits(self) -> int:
+        return round(self.estimate * self.trials)
+
     def contains(self, p: float | Fraction) -> bool:
         return self.ci_low <= float(p) <= self.ci_high
+
+
+MIN_TRIALS = 100
+
+
+def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson (exact binomial) interval for a
+    success probability, from ``hits`` successes in ``trials``."""
+    alpha = 1.0 - confidence
+    low = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, trials - hits + 1))
+    high = 1.0 if hits == trials else float(beta.ppf(1 - alpha / 2, hits + 1, trials - hits))
+    return low, high
 
 
 def estimate_pr_true(
@@ -257,10 +274,8 @@ def estimate_pr_true(
     Per-trial seeds are ``seed + i``, so the result does not depend on
     how trials are scheduled.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     hits = sum(1 for i in range(trials) if sample(comp, seed + i) is True)
-    alpha = 1.0 - confidence
-    low = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, trials - hits + 1))
-    high = 1.0 if hits == trials else float(beta.ppf(1 - alpha / 2, hits + 1, trials - hits))
+    low, high = clopper_pearson(hits, trials, confidence)
     return AdvantageEstimate(hits / trials, low, high, trials)

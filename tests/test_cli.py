@@ -227,8 +227,14 @@ class TestGame:
         assert exc.value.code == 2
 
     def test_bad_params(self, capsys):
-        code, _, err = run(capsys, ["game", "--eta", "0"])
-        assert code == EXIT_USAGE and "error:" in err
+        for argv in (
+            ["game", "--eta", "0"],
+            ["game", "--eta", "300"],
+            ["game", "--eta", "16", "--trials", "50"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == EXIT_USAGE and out == [], argv
+            assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 class TestBound:

@@ -41,23 +41,25 @@ from drbglab.games import (
     iv_leq,
     iv_scale,
     main_theorem_check,
-    naive_bits,
     oracle_map,
     run_all_lemmas,
     small_prf,
 )
 from drbglab.prf import Block
-from drbglab.prob import Return, exact_dist, mapc
+from drbglab.prob import (
+    EnumerationCapExceeded,
+    Return,
+    clopper_pearson,
+    estimate_pr_true,
+    exact_dist,
+    mapc,
+)
 
 F = Fraction
 
 
 def params(eta=2, nc=2, bpc=2, **kw) -> HybridParams:
     return HybridParams(eta, nc, bpc, **kw)
-
-
-def pr_true_naive(p: HybridParams, game: str, i=None) -> Fraction:
-    return exact_dist(build_game(p, game, i), max_path_bits=20).pr_true
 
 
 class TestBuilders:
@@ -190,31 +192,37 @@ class TestFastAgainstEnumeration:
     def test_win_probabilities_match(self, eta, nc, bpc, adv):
         p = HybridParams(eta, nc, bpc, adversary=adv)
         ev = GameEvaluator(p)
-        assert ev._fast is not None  # the factored path must engage here
         jobs = [("g_real", None), ("g1_prg", None), ("g_ideal", None)]
         jobs += [("gi_prg", j) for j in range(nc + 1)]
         jobs += [("gi_prf", j) for j in range(nc + 1)]
         jobs += [(g, j) for g in ("gi_rf", "gi_rb") for j in range(nc)]
         for game, j in jobs:
-            if naive_bits(p, game, j) > 18:
+            try:
+                want = exact_dist(build_game(p, game, j), max_path_bits=18).pr_true
+            except EnumerationCapExceeded:
                 continue
             got = ev.pr(game, j)
             assert got.exact
-            assert got.mid == pr_true_naive(p, game, j), (game, j)
+            assert got.mid == want, (game, j)
+        assert ev.modes_used == {"factored"}  # the factored path must engage here
 
-    @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
     def test_joint_bad_distributions_match(self, eta, nc, bpc):
-        p = HybridParams(eta, nc, bpc)
-        ev = GameEvaluator(p)
-        for j in range(nc):
-            rb = exact_dist(gi_rb_bad(p, j), max_path_bits=20)
-            rf = exact_dist(gi_rf_dups_bad(p, j), max_path_bits=20)
-            assert ev.pr_bad("rb", j).mid == sum(
-                (pr for (_, bad), pr in rb.items() if bad), F(0)
-            )
-            for answer in (True, False):
-                assert ev.pr_joint_no_bad("rb", j, answer).mid == rb.pr((answer, False))
-                assert ev.pr_joint_no_bad("rf", j, answer).mid == rf.pr((answer, False))
+        for adv in (collision_detector, first_bit):
+            p = HybridParams(eta, nc, bpc, adversary=adv)
+            ev = GameEvaluator(p)
+            for j in range(nc):
+                for oracle, builder in (("rb", gi_rb_bad), ("rf", gi_rf_dups_bad)):
+                    want = exact_dist(builder(p, j), max_path_bits=20)
+                    kind, joint = ev._joint_dist(oracle, j)
+                    assert kind == "exact"
+                    assert joint == dict(want.items()), (adv, oracle, j)
+                    answer_true = sum((pr for (a, _), pr in joint.items() if a), F(0))
+                    assert ev.pr(f"gi_{oracle}", j).mid == answer_true
+                    for answer in (True, False):
+                        no_bad = ev.pr_joint_no_bad(oracle, j, answer).mid
+                        assert no_bad == want.pr((answer, False))
+            assert ev.modes_used == {"factored"}
 
 
 class TestBadEvent:
@@ -317,11 +325,13 @@ class TestEvaluatorModes:
         assert ev.mode == "exact"
 
     def test_enumeration_fallback_matches_factored(self):
-        p = params(2, 2, 2)
-        fast = GameEvaluator(p)
-        slow = GameEvaluator(p, fast_ops_cap=0, naive_bits_cap=20)
+        # a plain callable has no fold protocol, so the faithful tree is
+        # enumerated; it finds collisions exactly as collision_detector
+        fast = GameEvaluator(params(2, 2, 2))
+        slow = GameEvaluator(params(2, 2, 2, adversary=lambda outs: collision_detector(outs)))
         for game, j in (("g_real", None), ("gi_prg", 1), ("gi_rb", 1)):
             assert slow.pr(game, j).mid == fast.pr(game, j).mid
+        assert slow.pr_bad("rb", 1).mid == fast.pr_bad("rb", 1).mid
         assert slow.modes_used == {"enumerated"}
 
     def test_monte_carlo_on_wide_blocks(self):
@@ -332,6 +342,22 @@ class TestEvaluatorModes:
         assert 0 <= got.lo <= got.mid <= got.hi <= 1
         assert ev.mode == "monte-carlo"
 
+    def test_monte_carlo_bad_interval_is_pooled(self):
+        # the (True, bad) and (False, bad) estimates replay the same
+        # seeded trials, so their hit counts add up to the bad-event count
+        p = HybridParams(16, 2, 2)
+        ev = GameEvaluator(p, trials=500, seed=3)
+        got = ev.pr_bad("rb", 1)
+        kind, dist = ev._joint_dist("rb", 1)
+        assert kind == "mc" and not got.exact
+        true_bad, false_bad = dist[(True, True)], dist[(False, True)]
+        hits = true_bad.hits + false_bad.hits
+        bad = estimate_pr_true(mapc(gi_rb_bad(p, 1), lambda out: out[1]), 500, 3)
+        assert hits == bad.hits
+        low, high = clopper_pearson(hits, 500)
+        assert (got.lo, got.mid, got.hi) == (low, hits / 500, high)
+        assert got.hi < true_bad.ci_high + false_bad.ci_high
+
     def test_results_memoized(self):
         ev = GameEvaluator(params(2, 2, 2))
         assert ev.pr("g_ideal") is ev.pr("g_ideal")
@@ -340,6 +366,8 @@ class TestEvaluatorModes:
         ev = GameEvaluator(params(2, 2, 2))
         with pytest.raises(ValueError):
             ev.pr_bad("rb", 2)
+        with pytest.raises(ValueError):
+            ev.pr("gi_rf")  # no hybrid index
 
 
 class TestIvAlgebra:

@@ -74,6 +74,16 @@ class TestExactDist:
         with pytest.raises(EnumerationCapExceeded):
             exact_dist(two, max_path_bits=25)
 
+    def test_cap_fails_on_the_first_path(self):
+        # a tree too wide to enumerate must fail before the branches of
+        # its first sample are built: the game evaluator relies on that
+        # to fall back to Monte Carlo cheaply
+        built = []
+        comp = Sample(16, lambda x: built.append(x) or sample_bits(16))
+        with pytest.raises(EnumerationCapExceeded):
+            exact_dist(comp, max_path_bits=22)
+        assert built == [0]
+
     def test_unresolved_query_rejected(self):
         with pytest.raises(TypeError):
             exact_dist(query("x"))
