@@ -12,7 +12,6 @@ from drbglab.bounds import birthday_exact, pr_collisions
 from drbglab.games import (
     GameEvaluator,
     HybridParams,
-    bad_event_probability,
     check_lemma,
     end_to_end_distance,
     main_theorem_check,
@@ -49,7 +48,7 @@ print()
 # The bad event — an oracle input repeating — has a closed form: it is
 # exactly a birthday collision among the blocks one call touches.
 for i in range(p.num_calls):
-    bad = bad_event_probability(p, i, ev)
+    bad = ev.pr_bad("rb", i)
     draws = p.blocks_per_call + (1 if i > 0 else 0)
     print(f"Pr[bad at hybrid {i}] = {bad} "
           f"(= birthday({draws} draws, 4 values) = {birthday_exact(draws, 4)}; "

@@ -43,11 +43,12 @@ _FIELD_LEN_KEY = {
 
 
 class CavpParseError(Exception):
-    """Malformed response file; message carries the 1-based line number."""
+    """Malformed response file; message carries the 1-based line number,
+    after the file name when the file was read by ``parse_path``."""
 
-    def __init__(self, lineno: int, message: str) -> None:
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    def __init__(self, lineno: int, message: str, path: str | None = None) -> None:
+        super().__init__(f"{path + ': ' if path else ''}line {lineno}: {message}")
+        self.lineno, self.message = lineno, message
 
 
 class UnsupportedMechanism(Exception):
@@ -237,8 +238,15 @@ def parse(text: str) -> CavpFile:
 
 
 def parse_path(path: str) -> CavpFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno, message = data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}"
+    except CavpParseError as exc:
+        lineno, message = exc.lineno, exc.message
+    raise CavpParseError(lineno, message, path)
 
 
 def serialize(file: CavpFile) -> str:
@@ -287,10 +295,12 @@ def run_case(group: CavpGroup, case: CavpCase) -> CaseResult:
     )
     if case.entropy_input_reseed is not None:
         state = drbg.reseed(state, case.entropy_input_reseed, case.additional_input_reseed)
-    adds = case.additional_inputs
-    if len(adds) != 2:
-        raise ValueError(f"case {case.count} has {len(adds)} additional inputs, want 2")
-    pr_entropy = case.entropy_inputs_pr
+    adds, pr_entropy = case.additional_inputs, case.entropy_inputs_pr
+    if len(adds) != 2 or (group.prediction_resistance and len(pr_entropy) != 2):
+        raise ValueError(
+            f"case {case.count} has {len(adds)} AdditionalInput and {len(pr_entropy)} "
+            "EntropyInputPR values; want 2 AdditionalInput, and 2 EntropyInputPR with PR"
+        )
     out = b""
     for call in range(2):
         req = drbg.GenerateRequest(out_len, adds[call])

@@ -5,8 +5,9 @@ Subcommands: ``gen`` drives the generator from hex or system entropy,
 pseudorandomness lemmas, ``bound`` evaluates the concrete security
 bound, and ``selftest`` runs a quick correctness battery.
 
-Exit codes: 0 all requested checks passed; 1 a check failed; 2 usage or
-parse error; 3 the generator demanded a reseed. All hex I/O is
+Exit codes: 0 all requested checks passed; 1 a check failed; 2 usage,
+parse or any other input error; 3 the generator demanded a reseed. All
+errors are mapped in ``main``, one ``error:`` line each. All hex I/O is
 lowercase without prefixes. Machine-readable output is one key=value
 record per line; ordering is deterministic for fixed flags.
 """
@@ -34,7 +35,7 @@ from .drbg import (
     generate_with_entropy,
     instantiate,
 )
-from .entropy import DeterministicStream, EntropyExhausted, SystemStream, take
+from .entropy import DeterministicStream, SystemStream, take
 from .games import (
     ALL_CHECKS,
     DEFAULT_SEED,
@@ -49,7 +50,7 @@ from .games import (
     main_theorem_check,
     run_all_lemmas,
 )
-from .prf import hmac_sha256, sha256
+from .prf import HMAC_SHA256_RFC4231, hmac_sha256, sha256
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,10 +72,6 @@ def _hex_arg(text: str) -> bytes:
         raise argparse.ArgumentTypeError(f"invalid hex {text!r}: {exc}") from exc
 
 
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-
-
 # ----------------------------------------------------------------------- gen
 
 
@@ -84,32 +81,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         stream = DeterministicStream(args.entropy)
     additional: list[bytes] = args.additional or []
-    try:
-        seed_octets, stream = take(stream, args.entropy_len)
-        state = instantiate(
-            seed_octets,
-            nonce=args.nonce,
-            personalization=args.personalization,
-            prediction_resistance=args.pr,
-            entropy_len=args.entropy_len,
-            reseed_interval=args.reseed_interval,
+    seed_octets, stream = take(stream, args.entropy_len)
+    state = instantiate(
+        seed_octets,
+        nonce=args.nonce,
+        personalization=args.personalization,
+        prediction_resistance=args.pr,
+        entropy_len=args.entropy_len,
+        reseed_interval=args.reseed_interval,
+    )
+    for call in range(args.count):
+        req = GenerateRequest(
+            args.out_len,
+            additional[call] if call < len(additional) else b"",
         )
-        for call in range(args.count):
-            req = GenerateRequest(
-                args.out_len,
-                additional[call] if call < len(additional) else b"",
-            )
-            if args.pr:
-                out, stream, state = generate_with_entropy(stream, state, req)
-            else:
-                out, state = generate(state, req)
-            print(out.hex())
-    except ReseedRequired as exc:
-        _fail(str(exc))
-        return EXIT_RESEED_REQUIRED
-    except (EntropyExhausted, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+        if args.pr:
+            out, stream, state = generate_with_entropy(stream, state, req)
+        else:
+            out, state = generate(state, req)
+        print(out.hex())
     return EXIT_OK
 
 
@@ -117,15 +107,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_cavp(args: argparse.Namespace) -> int:
-    try:
-        parsed = cavp.parse_path(args.path)
-    except OSError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except cavp.CavpParseError as exc:
-        _fail(f"{args.path}: {exc}")
-        return EXIT_USAGE
-    summary = cavp.run_file(parsed, mechanism=args.mechanism)
+    summary = cavp.run_file(cavp.parse_path(args.path), mechanism=args.mechanism)
     if args.report:
         lines = cavp.report_lines(summary)
         if args.report == "-":
@@ -158,14 +140,8 @@ def _check_record(check: LemmaCheck) -> str:
 
 def cmd_game(args: argparse.Namespace) -> int:
     adversary = _ADVERSARIES[args.adversary]
-    try:
-        params = HybridParams(
-            args.eta, args.num_calls, args.blocks_per_call, adversary=adversary
-        )
-        evaluator = GameEvaluator(params, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+    params = HybridParams(args.eta, args.num_calls, args.blocks_per_call, adversary=adversary)
+    evaluator = GameEvaluator(params, trials=args.trials, seed=args.seed)
     checks: list[LemmaCheck] = []
     if args.lemma == "all":
         checks.extend(run_all_lemmas(params, evaluator=evaluator))
@@ -187,11 +163,7 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        inputs = BoundInputs(args.t, args.num_calls, args.blocks_per_call, args.eta)
-    except ValueError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+    inputs = BoundInputs(args.t, args.num_calls, args.blocks_per_call, args.eta)
     advantage = prf_advantage_hmac(inputs.t)
     collisions = pr_collisions(inputs.blocks_per_call, inputs.eta)
     total = total_bound(inputs)
@@ -225,54 +197,6 @@ _SHA256_KNOWN = (
     (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
 )
 
-# HMAC-SHA256 known-answer cases; case 5 compares the 128-bit truncation.
-_HMAC_KNOWN: list[tuple[bytes, bytes, str, int | None]] = [
-    (
-        b"\x0b" * 20,
-        b"Hi There",
-        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-        None,
-    ),
-    (
-        b"Jefe",
-        b"what do ya want for nothing?",
-        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-        None,
-    ),
-    (
-        b"\xaa" * 20,
-        b"\xdd" * 50,
-        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
-        None,
-    ),
-    (
-        bytes(range(1, 26)),
-        b"\xcd" * 50,
-        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
-        None,
-    ),
-    (
-        b"\x0c" * 20,
-        b"Test With Truncation",
-        "a3b6167473100ee06e0c796c2955552b",
-        16,
-    ),
-    (
-        b"\xaa" * 131,
-        b"Test Using Larger Than Block-Size Key - Hash Key First",
-        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-        None,
-    ),
-    (
-        b"\xaa" * 131,
-        b"This is a test using a larger than block-size key and a larger "
-        b"than block-size data. The key needs to be hashed before being "
-        b"used by the HMAC algorithm.",
-        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
-        None,
-    ),
-]
-
 BREAK_HMAC_ENV = "DRBGLAB_SELFTEST_BREAK_HMAC"
 
 
@@ -297,7 +221,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     results.append(("sha256_known_answers", ok))
 
     ok = True
-    for key, message, want, truncate in _HMAC_KNOWN:
+    for key, message, want, truncate in HMAC_SHA256_RFC4231:
         got = hmac_fn(key, message)
         if truncate is not None:
             got = got[:truncate]
@@ -404,6 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. The exit-code contract holds for every input:
+    a generator that demands a reseed exits 3, and any other error exits
+    2 with one ``error:`` line, never 1 with a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -413,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
+    except Exception as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_RESEED_REQUIRED if isinstance(exc, ReseedRequired) else EXIT_USAGE
 
 
 if __name__ == "__main__":

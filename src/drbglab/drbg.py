@@ -21,9 +21,8 @@ from .prf import hmac_sha256
 
 OUTPUT_OCTETS = 32
 
-# Administrative limits. The output cap and additional-input cap follow
-# the mbedTLS defaults; both are arguments with defaults rather than
-# hard-wired constants so callers with different profiles can widen them.
+# Administrative limits; the output and additional-input caps are the
+# mbedTLS defaults.
 MAX_OUT_LEN = 1024
 MAX_ADDITIONAL_INPUT = 256
 MAX_RESEED_INTERVAL = 1 << 48
@@ -74,18 +73,12 @@ class DrbgState:
 class GenerateRequest:
     out_len: int
     additional_input: bytes = b""
-    max_out_len: int = MAX_OUT_LEN
-    max_additional_input: int = MAX_ADDITIONAL_INPUT
 
     def __post_init__(self) -> None:
-        if not 0 <= self.out_len <= self.max_out_len:
-            raise ValueError(
-                f"out_len must be in 0..{self.max_out_len}, got {self.out_len}"
-            )
-        if len(self.additional_input) > self.max_additional_input:
-            raise ValueError(
-                f"additional_input exceeds {self.max_additional_input} octets"
-            )
+        if not 0 <= self.out_len <= MAX_OUT_LEN:
+            raise ValueError(f"out_len must be in 0..{MAX_OUT_LEN}, got {self.out_len}")
+        if len(self.additional_input) > MAX_ADDITIONAL_INPUT:
+            raise ValueError(f"additional_input exceeds {MAX_ADDITIONAL_INPUT} octets")
 
 
 def update(state: DrbgState, provided_data: bytes = b"") -> DrbgState:
@@ -174,20 +167,11 @@ def generate_with_entropy(
     runs without it. Raises entropy.EntropyExhausted when the stream
     cannot supply the reseed.
     """
-    additional = req.additional_input
     if state.prediction_resistance or state.reseed_counter > state.reseed_interval:
         seed_octets, stream = entropy_mod.take(stream, state.entropy_len)
-        state = reseed(state, seed_octets, additional)
-        additional = b""
-    out, state = generate(
-        state,
-        GenerateRequest(
-            req.out_len,
-            additional,
-            max_out_len=req.max_out_len,
-            max_additional_input=req.max_additional_input,
-        ),
-    )
+        state = reseed(state, seed_octets, req.additional_input)
+        req = replace(req, additional_input=b"")
+    out, state = generate(state, req)
     return out, stream, state
 
 

@@ -1038,21 +1038,13 @@ def check_lemma(
             for j in indices(nc - 1)
         ]
     if lemma == "hybrid_argument":
-        first = ev.pr("gi_prg", 0)
-        last = ev.pr("gi_prg", nc)
-        end_to_end = iv_absdiff(first, last)
-        adjacent = [
-            iv_absdiff(ev.pr("gi_prg", j), ev.pr("gi_prg", j + 1)) for j in range(nc)
-        ]
-        total = adjacent[0]
-        for step in adjacent[1:]:
-            total = iv_add(total, step)
+        walk = end_to_end_distance(p, evaluator=ev)
         return [
             _leq_check(
                 lemma,
                 None,
-                end_to_end,
-                total,
+                walk.end_to_end,
+                walk.total,
                 detail=f"telescoped over {nc} adjacent pairs",
             )
         ]
@@ -1073,31 +1065,6 @@ def run_all_lemmas(
     return out
 
 
-def bad_event_probability(p: HybridParams, i: int, evaluator=None) -> Iv:
-    """Pr[some oracle input repeats] in the random-bits game at hybrid i."""
-    ev = evaluator if evaluator is not None else GameEvaluator(p)
-    return ev.pr_bad("rb", i)
-
-
-def check_identical_until_bad(
-    p: HybridParams, i: int, evaluator: GameEvaluator | None = None
-) -> list[LemmaCheck]:
-    """The identical-until-bad package at hybrid i: equal bad
-    probability, equal joint no-bad outcome masses, and the
-    fundamental-lemma gap bound they imply."""
-    ev = evaluator if evaluator is not None else GameEvaluator(p)
-    out: list[LemmaCheck] = []
-    for lemma in ("Gi_rb_rf_return_bad_same", "Gi_rb_rf_no_bad_same", "fundamental_lemma"):
-        out.extend(check_lemma(p, lemma, i=i, evaluator=ev))
-    return out
-
-
-def adjacent_distance(p: HybridParams, i: int, evaluator=None) -> Iv:
-    """|Pr[hybrid i wins] - Pr[hybrid i+1 wins]|."""
-    ev = evaluator if evaluator is not None else GameEvaluator(p)
-    return iv_absdiff(ev.pr("gi_prg", i), ev.pr("gi_prg", i + 1))
-
-
 @dataclass(frozen=True)
 class EndToEndReport:
     end_to_end: Iv
@@ -1110,11 +1077,13 @@ def end_to_end_distance(p: HybridParams, evaluator=None) -> EndToEndReport:
     """Distance between the first and last hybrid, with the telescoping
     decomposition into adjacent distances."""
     ev = evaluator if evaluator is not None else GameEvaluator(p)
-    adjacent = tuple(adjacent_distance(p, j, ev) for j in range(p.num_calls))
+    end_to_end = iv_absdiff(ev.pr("gi_prg", 0), ev.pr("gi_prg", p.num_calls))
+    adjacent = tuple(
+        iv_absdiff(ev.pr("gi_prg", j), ev.pr("gi_prg", j + 1)) for j in range(p.num_calls)
+    )
     total = adjacent[0]
     for step in adjacent[1:]:
         total = iv_add(total, step)
-    end_to_end = iv_absdiff(ev.pr("gi_prg", 0), ev.pr("gi_prg", p.num_calls))
     return EndToEndReport(end_to_end, adjacent, total, iv_leq(end_to_end, total))
 
 

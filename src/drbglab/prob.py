@@ -20,12 +20,12 @@ platforms and parallel schedules.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
-
-from scipy.stats import beta
 
 
 class EnumerationCapExceeded(Exception):
@@ -256,12 +256,59 @@ class AdvantageEstimate:
 MIN_TRIALS = 100
 
 
+def _log_beta(a: int, b: int) -> float:
+    """log B(a, b) for positive integers a and b."""
+    a, b = sorted((a, b))
+    if a <= 32:  # lgamma(b) - lgamma(a + b) as a sum, without cancellation
+        return math.lgamma(a) - math.fsum(math.log(b + j) for j in range(a))
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_cf(x: float, a: int, b: int) -> float:
+    """Continued fraction for I_x(a, b), by Lentz's method."""
+    h, c, d = 1.0, 1e300, 1.0
+    for m in itertools.count():
+        for num in (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)),
+        ):
+            d = 1.0 / (1.0 + num * d or 1e-300)
+            c = 1.0 + num / c or 1e-300
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+
+
+def _beta_ppf(p: float, a: int, b: int) -> float:
+    """The x with I_x(a, b) = p: Newton steps on the regularized
+    incomplete beta, kept inside a bisection bracket around the root."""
+    log_beta = _log_beta(a, b)
+    lo, hi, x = 0.0, 1.0, a / (a + b)
+    for _ in range(200):
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+        if x < (a + 1) / (a + b + 2):
+            cdf = front * _beta_cf(x, a, b) / a
+        else:
+            cdf = 1.0 - front * _beta_cf(1.0 - x, b, a) / b
+        lo, hi = (x, hi) if cdf < p else (lo, x)
+        pdf = front / (x * (1.0 - x))
+        new = x - (cdf - p) / pdf if pdf > 0 else lo
+        if not lo < new < hi:
+            new = (lo + hi) / 2
+        if abs(new - x) <= 1e-13 * new:
+            return new
+        x = new
+    raise ArithmeticError(f"no beta quantile found for p={p}, a={a}, b={b}")
+
+
 def clopper_pearson(hits: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Two-sided Clopper-Pearson (exact binomial) interval for a
-    success probability, from ``hits`` successes in ``trials``."""
+    success probability, from ``hits`` successes in ``trials``: the
+    beta quantiles ``B(alpha/2; hits, trials-hits+1)`` and
+    ``B(1-alpha/2; hits+1, trials-hits)``."""
     alpha = 1.0 - confidence
-    low = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, trials - hits + 1))
-    high = 1.0 if hits == trials else float(beta.ppf(1 - alpha / 2, hits + 1, trials - hits))
+    low = 0.0 if hits == 0 else _beta_ppf(alpha / 2, hits, trials - hits + 1)
+    high = 1.0 if hits == trials else _beta_ppf(1 - alpha / 2, hits + 1, trials - hits)
     return low, high
 
 

@@ -24,7 +24,7 @@ from drbglab.games import (
     main_theorem_check,
     run_all_lemmas,
 )
-from drbglab.prf import Block, hmac_block_prf, hmac_sha256
+from drbglab.prf import HMAC_SHA256_RFC4231, Block, hmac_block_prf, hmac_sha256
 from drbglab.prob import estimate_pr_true
 
 
@@ -54,25 +54,7 @@ def test_criterion_1_vector_file_byte_exact():
 
 def test_criterion_2_hmac_reference_vectors():
     """All seven published HMAC-SHA256 test vectors, exact."""
-    cases = [
-        (b"\x0b" * 20, b"Hi There",
-         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7", None),
-        (b"Jefe", b"what do ya want for nothing?",
-         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843", None),
-        (b"\xaa" * 20, b"\xdd" * 50,
-         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe", None),
-        (bytes(range(1, 26)), b"\xcd" * 50,
-         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b", None),
-        (b"\x0c" * 20, b"Test With Truncation",
-         "a3b6167473100ee06e0c796c2955552b", 16),
-        (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
-         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54", None),
-        (b"\xaa" * 131,
-         b"This is a test using a larger than block-size key and a larger "
-         b"than block-size data. The key needs to be hashed before being "
-         b"used by the HMAC algorithm.",
-         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2", None),
-    ]
+    cases = HMAC_SHA256_RFC4231
     failures = 0
     for key, message, want, truncate in cases:
         got = hmac_sha256(key, message)

@@ -1,9 +1,21 @@
 """End-to-end runs of every subcommand through cli.main."""
 
+import contextlib
+import io
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import drbglab
 from drbglab import cavp
 from drbglab.cli import (
     BREAK_HMAC_ENV,
@@ -13,6 +25,7 @@ from drbglab.cli import (
     EXIT_USAGE,
     main,
 )
+from drbglab.games import ALL_CHECKS
 
 
 def vector_path(name: str) -> str:
@@ -293,3 +306,166 @@ def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy_or_numpy():
+    probe = "import sys, drbglab.cli; print('\\n'.join(sys.modules))"
+    paths = [str(Path(drbglab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    top_level = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "drbglab" in top_level and not top_level & {"scipy", "numpy"}
+
+
+# --------------------------------------------------------- the exit-code contract
+#
+# 0 ok, 1 a check failed, 2 usage, parse or input error, 3 reseed
+# required: for every input, with exactly one ``error:`` line on 2 and 3
+# and never a traceback, so a crash cannot pass for a failed check.
+
+BUNDLED = ("hmac_drbg_no_reseed.rsp", "hmac_drbg_pr_false.rsp", "hmac_drbg_pr_true.rsp")
+RSP_LINES = {
+    name: resources.files("drbglab").joinpath(f"vectors/{name}").read_bytes().splitlines(True)
+    for name in BUNDLED
+}
+
+
+def without_first(name: str, field: str) -> bytes:
+    """A bundled file minus the first ``field`` line of its SHA-256 groups."""
+    lines = RSP_LINES[name]
+    start = lines.index(b"[SHA-256]\n")
+    drop = next(i for i in range(start, len(lines)) if lines[i].startswith(field.encode()))
+    return b"".join(lines[:drop] + lines[drop + 1:])
+
+
+def written(path: Path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+# name: (argv in a scratch directory, what the error line must name)
+PROBES = {
+    "binary-file": (lambda tmp: [
+        "cavp", written(tmp / "random.rsp", random.Random(0).randbytes(200))], "not UTF-8"),
+    "one-additional-input": (lambda tmp: [
+        "cavp", written(tmp / "a.rsp", without_first(BUNDLED[0], "AdditionalInput ="))],
+        "1 AdditionalInput"),
+    "one-entropy-input-pr": (lambda tmp: [
+        "cavp", written(tmp / "pr.rsp", without_first(BUNDLED[2], "EntropyInputPR ="))],
+        "1 EntropyInputPR"),
+    "empty-entropy": (lambda tmp: [
+        "gen", "--entropy", "", "--entropy-len", "0", "--out-len", "8"], "nonempty"),
+    "system-zero-entropy-len": (lambda tmp: [
+        "gen", "--system", "--entropy-len", "0", "--out-len", "8"], "nonempty"),
+    "unwritable-report": (lambda tmp: [
+        "cavp", vector_path(BUNDLED[0]), "--report", str(tmp / "no-such-dir" / "report")],
+        "No such file"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probe_is_one_line_usage_error(probe, tmp_path, capsys):
+    argv, names = PROBES[probe]
+    code, _, err = run(capsys, argv(tmp_path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert names in err
+
+
+def contained_run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_contract(code: int, err: str) -> None:
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RESEED_REQUIRED)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == (1 if code in (EXIT_USAGE, EXIT_RESEED_REQUIRED) else 0), err
+
+
+def flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    """``[]`` or ``[name, str(value)]``: the flag left out or given."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def command(name: str, *parts: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(*parts).map(lambda ps: [name, *itertools.chain.from_iterable(ps)])
+
+
+HEX = st.binary(max_size=48).map(bytes.hex)
+
+ARGV = st.one_of(
+    command(
+        "gen",
+        st.one_of(st.just(["--system"]), HEX.map(lambda h: ["--entropy", h])),
+        flag("--entropy-len", st.integers(-1, 64)),
+        flag("--nonce", HEX),
+        st.lists(st.binary(max_size=260).map(bytes.hex), max_size=3).map(
+            lambda xs: [a for x in xs for a in ("--additional", x)]),
+        flag("--out-len", st.integers(-1, 1100)),
+        flag("--count", st.integers(-1, 3)),
+        st.sampled_from([[], ["--pr"]]),
+        flag("--reseed-interval", st.sampled_from([-1, 0, 1, 2, 1 << 48, (1 << 48) + 1])),
+    ),
+    command(
+        "game",
+        flag("--lemma", st.sampled_from(("all",) + ALL_CHECKS)),
+        flag("--eta", st.sampled_from([-1, 0, 1, 2, 3, 16, 300])),
+        flag("--num-calls", st.integers(-1, 2)),
+        flag("--blocks-per-call", st.integers(-1, 2)),
+        flag("--adversary", st.sampled_from(["collision", "first-bit", "constant-true"])),
+        st.sampled_from([-1, 50, 100]).map(lambda t: ["--trials", str(t)]),
+    ),
+    command(
+        "bound",
+        flag("--t", st.integers(-1, 300)),
+        flag("--num-calls", st.integers(-1, 1 << 64)),
+        flag("--blocks-per-call", st.integers(-1, 1 << 20)),
+        flag("--eta", st.integers(-1, 600)),
+    ),
+    st.lists(st.sampled_from(["gen", "cavp", "bound", "--eta", "--t", "--out-len",
+                              "--entropy", "--count", "-1", "0", "2", "zz", ""]), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_exit_contract_for_fuzzed_argv(argv):
+    assert_contract(*contained_run(argv))
+
+
+@st.composite
+def mutated_rsp(draw) -> bytes:
+    """A bundled response file with one to three line edits, half of them
+    inside the runnable SHA-256 groups."""
+    lines = list(RSP_LINES[draw(st.sampled_from(BUNDLED))])
+    sha256 = lines.index(b"[SHA-256]\n")
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.sampled_from([0, sha256]))
+        i = draw(st.integers(lo, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "copy", "cut", "bytes"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "copy":
+            lines[i] = lines[draw(st.integers(lo, len(lines) - 1))]
+        elif edit == "cut":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            lines[i] = draw(st.binary(max_size=40)) + b"\n"
+    return b"".join(lines)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_rsp(), st.sampled_from([[], ["--mechanism", "SHA-256"], ["--report", "-"]]))
+def test_exit_contract_for_mutated_response_files(text, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = written(Path(tmp) / "mutated.rsp", text)
+        assert_contract(*contained_run(["cavp", path, *extra]))

@@ -156,9 +156,6 @@ class TestGenerate:
             GenerateRequest(out_len=-1)
         with pytest.raises(ValueError):
             GenerateRequest(out_len=8, additional_input=b"\x00" * 257)
-        # caps are parameters, not constants
-        req = GenerateRequest(out_len=2048, max_out_len=4096)
-        assert req.out_len == 2048
 
 
 class TestReseed:

@@ -19,10 +19,8 @@ from drbglab.games import (
     GameEvaluator,
     HybridParams,
     Iv,
-    bad_event_probability,
     build_game,
     calibration_games,
-    check_identical_until_bad,
     check_lemma,
     collision_detector,
     constant,
@@ -235,13 +233,14 @@ class TestBadEvent:
         for j in range(nc):
             draws = bpc + (1 if j > 0 else 0)
             expect = birthday_exact(draws, 1 << eta)
-            assert bad_event_probability(p, j, ev).mid == expect
+            assert ev.pr_bad("rb", j).mid == expect
 
     def test_dominated_by_closed_form(self):
         p = params(eta=3, nc=2, bpc=2)
         bound = pr_collisions(2, 3)
+        ev = GameEvaluator(p)
         for j in range(2):
-            assert bad_event_probability(p, j).mid <= bound
+            assert ev.pr_bad("rb", j).mid <= bound
 
 
 class TestLemmas:
@@ -282,13 +281,11 @@ class TestLemmas:
 
     def test_identical_until_bad_package(self):
         p = params(2, 2, 2)
-        checks = check_identical_until_bad(p, 1)
-        assert [c.lemma for c in checks] == [
-            "Gi_rb_rf_return_bad_same",
-            "Gi_rb_rf_no_bad_same",
-            "fundamental_lemma",
-        ]
-        assert all(c.passed for c in checks)
+        ev = GameEvaluator(p)
+        lemmas = ["Gi_rb_rf_return_bad_same", "Gi_rb_rf_no_bad_same", "fundamental_lemma"]
+        checks = [c for lemma in lemmas for c in check_lemma(p, lemma, i=1, evaluator=ev)]
+        assert [c.lemma for c in checks] == lemmas
+        assert all(c.passed and c.i == 1 for c in checks)
 
     def test_all_checks_registry(self):
         assert len(EQUALITY_LEMMAS) == 7

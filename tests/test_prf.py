@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drbglab.prf import (
+    HMAC_SHA256_RFC4231,
     Block,
     encode_bits,
     from_hex,
@@ -23,63 +24,14 @@ from drbglab.prf import (
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
-# RFC 4231 HMAC-SHA256 test cases (case 5 is truncated to 128 bits)
-RFC4231 = [
-    (
-        b"\x0b" * 20,
-        b"Hi There",
-        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-        None,
-    ),
-    (
-        b"Jefe",
-        b"what do ya want for nothing?",
-        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-        None,
-    ),
-    (
-        b"\xaa" * 20,
-        b"\xdd" * 50,
-        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
-        None,
-    ),
-    (
-        bytes(range(1, 26)),
-        b"\xcd" * 50,
-        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
-        None,
-    ),
-    (
-        b"\x0c" * 20,
-        b"Test With Truncation",
-        "a3b6167473100ee06e0c796c2955552b",
-        16,
-    ),
-    (
-        b"\xaa" * 131,
-        b"Test Using Larger Than Block-Size Key - Hash Key First",
-        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-        None,
-    ),
-    (
-        b"\xaa" * 131,
-        b"This is a test using a larger than block-size key and a larger "
-        b"than block-size data. The key needs to be hashed before being "
-        b"used by the HMAC algorithm.",
-        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
-        None,
-    ),
-]
-
-
 def test_sha256_known_answers():
     assert sha256(b"").hex() == SHA256_EMPTY
     assert sha256(b"abc").hex() == SHA256_ABC
 
 
-@pytest.mark.parametrize("case", range(len(RFC4231)))
+@pytest.mark.parametrize("case", range(len(HMAC_SHA256_RFC4231)))
 def test_hmac_rfc4231(case):
-    key, message, want, truncate = RFC4231[case]
+    key, message, want, truncate = HMAC_SHA256_RFC4231[case]
     got = hmac_sha256(key, message)
     if truncate is not None:
         got = got[:truncate]

@@ -1,5 +1,7 @@
 """The probability monad: exact enumeration, oracles, and the sampler."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from drbglab.prob import (
     Return,
     Sample,
     bind,
+    clopper_pearson,
     estimate_pr_true,
     exact_dist,
     mapc,
@@ -202,6 +205,53 @@ class TestEstimate:
             if estimate_pr_true(comp, trials=400, seed=1000 * rep).contains(truth)
         )
         assert covered >= 18
+
+
+TRIALS = [100, 200, 400, 500, 1000, 10**5, 10**6]
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("n", TRIALS + [10**7])
+    def test_closed_forms_at_the_edges(self, n):
+        # at 0, 1, n-1 and n hits the beta quantiles have closed forms
+        q = 0.005  # alpha/2 at 99%
+        assert clopper_pearson(0, n)[0] == 0.0 and clopper_pearson(n, n)[1] == 1.0
+        closed = {
+            (0, 1): -math.expm1(math.log(q) / n),  # 1 - (alpha/2)^(1/n)
+            (1, 0): -math.expm1(math.log1p(-q) / n),  # 1 - (1 - alpha/2)^(1/n)
+            (n - 1, 1): math.exp(math.log1p(-q) / n),  # (1 - alpha/2)^(1/n)
+            (n, 0): math.exp(math.log(q) / n),  # (alpha/2)^(1/n)
+        }
+        for (hits, side), want in closed.items():
+            got = clopper_pearson(hits, n)[side]
+            assert got == pytest.approx(want, rel=1e-9, abs=0), (hits, side)
+
+    @pytest.mark.parametrize("n", TRIALS)
+    def test_matches_scipy_beta_quantiles(self, n):
+        beta = pytest.importorskip("scipy.stats").beta
+        rng = random.Random(n)
+        hit_counts = {0, 1, n - 1, n, n // 2}
+        hit_counts |= {rng.randrange(n + 1) for _ in range(12)}
+        hit_counts |= {rng.randrange(40) for _ in range(6)}  # the thin tail
+        for hits in sorted(hit_counts):
+            for confidence in (0.99, 0.95):
+                alpha = 1 - confidence
+                low, high = clopper_pearson(hits, n, confidence)
+                want_low = 0.0 if hits == 0 else beta.ppf(alpha / 2, hits, n - hits + 1)
+                want_high = 1.0 if hits == n else beta.ppf(1 - alpha / 2, hits + 1, n - hits)
+                assert low == pytest.approx(want_low, rel=1e-9, abs=0), hits
+                assert high == pytest.approx(want_high, rel=1e-9, abs=0), hits
+
+    def test_interval_brackets_the_frequency(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.choice([100, 137, 10**4, 10**7])
+            hits = rng.randrange(n + 1)
+            confidence = rng.choice([0.5, 0.9, 0.99, 1 - 1e-9])
+            low, high = clopper_pearson(hits, n, confidence)
+            assert 0.0 <= low < hits / n < high <= 1.0 or hits in (0, n)
+            wider = clopper_pearson(hits, n, (1 + confidence) / 2)
+            assert wider[0] <= low and high <= wider[1]
 
 
 def test_advantage_estimate_contains():
