@@ -1,9 +1,14 @@
 """The probability layer the games are built on.
 
-A randomized computation is a value of type Comp: a tree of Return /
-Sample / Query nodes. The same tree can be enumerated exactly (every
-probability a Fraction), run once with a seeded PRNG, or sampled many
-times for a confidence interval.
+A randomized computation is a value of type Comp: a tree of four node
+kinds. Return holds a result, Sample draws uniform bits, Query asks an
+oracle, and Bind sequences a computation with the function that
+consumes its result. ``bind`` builds one Bind node (on a Return it
+applies the function at once), so it costs the same however long the
+chain it extends; running a computation walks the Bind nodes onto one
+stack of pending continuations. The same tree
+can be enumerated exactly (every probability a Fraction), run once with
+a seeded PRNG, or sampled many times for a confidence interval.
 
 Run:  python3 demos/05_probability_monad.py
 """

@@ -136,19 +136,37 @@ def _parse_header(content: str, lineno: int) -> tuple[str, str | None]:
     return tag, None
 
 
+# How many of each field a case needs for run_case to run it.
+_CASE_SHAPE = (("EntropyInput", 1), ("ReturnedBits", 1), ("AdditionalInput", 2))
+_PR_CASE_SHAPE = _CASE_SHAPE + (("EntropyInputPR", 2),)
+
+
+def _shape_problem(group: CavpGroup, names: list[str]) -> str | None:
+    """What is wrong with the field counts of a case, or None."""
+    for name, want in _PR_CASE_SHAPE if group.prediction_resistance else _CASE_SHAPE:
+        got = names.count(name)
+        if got != want:
+            return f"{got} {name} values; want {want}"
+    return None
+
+
 def parse(text: str) -> CavpFile:
-    """Parse response-file text into groups of cases, validating lengths."""
+    """Parse response-file text into groups of cases, validating lengths
+    and that each case has the fields ``run_case`` needs."""
     groups: list[CavpGroup] = []
     header_run: list[tuple[str, str | None]] = []
     mechanism: str | None = None
     current_group: CavpGroup | None = None
     case_fields: list[tuple[str, bytes]] | None = None
-    case_count = -1
+    case_count = case_line = -1
 
     def close_case() -> None:
-        nonlocal case_fields, case_count
+        nonlocal case_fields
         if case_fields is not None:
             assert current_group is not None
+            problem = _shape_problem(current_group, [k for (k, _) in case_fields])
+            if problem:
+                raise CavpParseError(case_line, f"case {case_count} has {problem}")
             current_group.cases.append(CavpCase(case_count, tuple(case_fields)))
             case_fields = None
 
@@ -212,7 +230,7 @@ def parse(text: str) -> CavpFile:
                 raise CavpParseError(
                     lineno, f"non-consecutive COUNT {count} (expected {expected})"
                 )
-            case_count = count
+            case_count, case_line = count, lineno
             case_fields = []
             continue
         if case_fields is None:
@@ -296,11 +314,6 @@ def run_case(group: CavpGroup, case: CavpCase) -> CaseResult:
     if case.entropy_input_reseed is not None:
         state = drbg.reseed(state, case.entropy_input_reseed, case.additional_input_reseed)
     adds, pr_entropy = case.additional_inputs, case.entropy_inputs_pr
-    if len(adds) != 2 or (group.prediction_resistance and len(pr_entropy) != 2):
-        raise ValueError(
-            f"case {case.count} has {len(adds)} AdditionalInput and {len(pr_entropy)} "
-            "EntropyInputPR values; want 2 AdditionalInput, and 2 EntropyInputPR with PR"
-        )
     out = b""
     for call in range(2):
         req = drbg.GenerateRequest(out_len, adds[call])

@@ -1137,6 +1137,10 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     for calibrating the Monte Carlo estimator: each exact value should
     fall inside the estimator's confidence interval about as often as
     the confidence level promises.
+
+    Each entry pairs the faithful computation tree, which the estimator
+    samples, with the factored evaluator's exact value; tests pin every
+    value to the enumeration of its tree.
     """
     specs: list[tuple[str, int, int, int, Any, str, int | None]] = [
         ("g_real", 2, 2, 2, collision_detector, "collision", None),
@@ -1164,7 +1168,7 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     for game, eta, nc, bpc, adversary, adv_name, i in specs:
         p = HybridParams(eta, nc, bpc, adversary=adversary)
         comp = build_game(p, game, i)
-        exact = exact_dist(comp, max_path_bits=18).pr_true
+        exact = GameEvaluator(p).pr(game, i).mid
         where = "" if i is None else f" i={i}"
         name = f"{game}{where} eta={eta} calls={nc} blocks={bpc} adv={adv_name}"
         out.append((name, comp, exact))

@@ -1,11 +1,21 @@
 """A small exact-probability monad for finite randomized computations.
 
-A computation is a finite tree built from three node kinds:
+A computation is a finite tree built from four node kinds:
 
 - ``Return(value)`` — a finished computation;
 - ``Sample(width, k)`` — draw a uniform integer in ``[0, 2**width)`` and
   continue with ``k(drawn)``;
-- ``Query(input, k)`` — ask an oracle and continue with ``k(answer)``.
+- ``Query(input, k)`` — ask an oracle and continue with ``k(answer)``;
+- ``Bind(comp, f)`` — run ``comp``, then continue with ``f(result)``.
+
+:func:`bind` is constant-time: it collapses ``bind(Return(v), f)`` to
+``f(v)`` and otherwise builds one ``Bind`` node, without touching the
+continuations inside ``comp``. A private normalizer walks ``Bind`` nodes
+onto one persistent stack of pending continuations, so a step of a run
+costs the same however deeply its binds are nested, and a long
+left-nested chain needs no Python recursion (Voigtländer, "Asymptotic
+Improvement of Computations over Free Monads", MPC 2008; van der Ploeg
+and Kiselyov, "Reflection without Remorse", Haskell 2014).
 
 Plain computations contain no ``Query`` nodes; oracle-bearing ones are
 turned into plain ones by :func:`run_with_oracle`, which threads an
@@ -53,16 +63,38 @@ class Query:
     k: Callable[[Any], "Comp"]
 
 
-Comp = Return | Sample | Query
+@dataclass(frozen=True)
+class Bind:
+    comp: "Comp"
+    f: Callable[[Any], "Comp"]
+
+
+Comp = Return | Sample | Query | Bind
+
+# pending continuations, innermost first: None or (f, rest)
+_Konts = tuple[Callable[[Any], Comp], "_Konts"] | None
 
 
 def bind(comp: Comp, f: Callable[[Any], Comp]) -> Comp:
     """Sequence ``comp`` with ``f`` applied to its result (monadic bind)."""
     if isinstance(comp, Return):
         return f(comp.value)
-    if isinstance(comp, Sample):
-        return Sample(comp.width, lambda x, _k=comp.k: bind(_k(x), f))
-    return Query(comp.input, lambda a, _k=comp.k: bind(_k(a), f))
+    return Bind(comp, f)
+
+
+def _head(c: Comp, ks: _Konts) -> tuple[Comp, _Konts]:
+    """Normalize ``c`` under the continuations ``ks``: push every Bind's
+    continuation and feed every Return to the innermost one, until a
+    Sample or Query is at the head or a Return is left with none."""
+    while True:
+        if isinstance(c, Bind):
+            ks = (c.f, ks)
+            c = c.comp
+        elif isinstance(c, Return) and ks is not None:
+            f, ks = ks
+            c = f(c.value)
+        else:
+            return c, ks
 
 
 def mapc(comp: Comp, f: Callable[[Any], Any]) -> Comp:
@@ -95,15 +127,20 @@ def run_with_oracle(comp: Comp, oracle: Oracle) -> Comp:
     Returns a plain computation of ``(result, final_oracle_state)``.
     """
 
-    def go(c: Comp, state: Any) -> Comp:
-        if isinstance(c, Return):
-            return Return((c.value, state))
-        if isinstance(c, Sample):
-            return Sample(c.width, lambda x, _k=c.k: go(_k(x), state))
-        trans = oracle.transition(state, c.input)
-        return bind(trans, lambda ans_state, _k=c.k: go(_k(ans_state[0]), ans_state[1]))
+    def go(c: Comp, ks: _Konts, state: Any) -> Comp:
+        while True:
+            c, ks = _head(c, ks)
+            if isinstance(c, Return):
+                return Return((c.value, state))
+            if isinstance(c, Sample):
+                return Sample(c.width, lambda x, _c=c, _ks=ks, _s=state: go(_c.k(x), _ks, _s))
+            trans = oracle.transition(state, c.input)
+            if not isinstance(trans, Return):
+                return Bind(trans, lambda r, _c=c, _ks=ks: go(_c.k(r[0]), _ks, r[1]))
+            answer, state = trans.value  # deterministic: no node, no recursion
+            c = c.k(answer)
 
-    return go(comp, oracle.initial_state)
+    return go(comp, None, oracle.initial_state)
 
 
 @dataclass(frozen=True)
@@ -160,17 +197,20 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
     Outcome values must be hashable; use tuples, not dicts, for oracle
     states that end up in results.
     """
-    acc: dict[Any, Fraction] = {}
+    acc: dict[Any, int] = {}  # masses over 2**max_path_bits
     # depth first, each Sample's branches built only when reached, so a
-    # tree whose first path is over the cap fails at once
-    stack: list[tuple[Iterator[Comp], int]] = [(iter((comp,)), 0)]
+    # tree whose first path is over the cap fails at once; the branches
+    # of one Sample share its continuation stack
+    stack: list[tuple[Iterator[Comp], int, _Konts]] = [(iter((comp,)), 0, None)]
     while stack:
-        branches, bits = stack[-1]
+        branches, bits, ks = stack[-1]
         c = next(branches, None)
         if c is None:
             stack.pop()
-        elif isinstance(c, Return):
-            acc[c.value] = acc.get(c.value, Fraction(0)) + Fraction(1, 1 << bits)
+            continue
+        c, rest = _head(c, ks)
+        if isinstance(c, Return):
+            acc[c.value] = acc.get(c.value, 0) + (1 << (max_path_bits - bits))
         elif isinstance(c, Query):
             raise TypeError(
                 "computation still contains Query nodes; "
@@ -181,8 +221,9 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
                 f"path needs more than {max_path_bits} random bits"
             )
         else:
-            stack.append((map(c.k, range(1 << c.width)), bits + c.width))
-    return Distribution.from_dict(acc)
+            stack.append((map(c.k, range(1 << c.width)), bits + c.width, rest))
+    total = 1 << max_path_bits
+    return Distribution.from_dict({v: Fraction(m, total) for v, m in acc.items()})
 
 
 def statistical_distance(a: Distribution, b: Distribution) -> Fraction:
@@ -225,14 +266,14 @@ class _SplitMix64:
 def sample(comp: Comp, seed: int) -> Any:
     """Run one pseudorandom path, deterministic in ``seed``."""
     stream = _SplitMix64(seed)
-    c = comp
+    c, ks = _head(comp, None)
     while not isinstance(c, Return):
         if isinstance(c, Query):
             raise TypeError(
                 "computation still contains Query nodes; "
                 "apply run_with_oracle first"
             )
-        c = c.k(stream.bits(c.width))
+        c, ks = _head(c.k(stream.bits(c.width)), ks)
     return c.value
 
 

@@ -332,12 +332,23 @@ RSP_LINES = {
 }
 
 
-def without_first(name: str, field: str) -> bytes:
-    """A bundled file minus the first ``field`` line of its SHA-256 groups."""
+def first_sha256(name: str, field: str) -> int:
+    """Index of the first ``field`` line in a bundled file's SHA-256 groups."""
     lines = RSP_LINES[name]
     start = lines.index(b"[SHA-256]\n")
-    drop = next(i for i in range(start, len(lines)) if lines[i].startswith(field.encode()))
+    return next(i for i in range(start, len(lines)) if lines[i].startswith(field.encode()))
+
+
+def without_first(name: str, field: str) -> bytes:
+    """A bundled file minus the first ``field`` line of its SHA-256 groups."""
+    lines, drop = RSP_LINES[name], first_sha256(name, field)
     return b"".join(lines[:drop] + lines[drop + 1:])
+
+
+def count_line(name: str, field: str) -> int:
+    """The line number of the COUNT that opens the case ``without_first`` cuts."""
+    lines = RSP_LINES[name]
+    return max(i for i in range(first_sha256(name, field)) if lines[i].startswith(b"COUNT")) + 1
 
 
 def written(path: Path, data: bytes) -> str:
@@ -355,6 +366,12 @@ PROBES = {
     "one-entropy-input-pr": (lambda tmp: [
         "cavp", written(tmp / "pr.rsp", without_first(BUNDLED[2], "EntropyInputPR ="))],
         "1 EntropyInputPR"),
+    "no-entropy-input": (lambda tmp: [
+        "cavp", written(tmp / "e.rsp", without_first(BUNDLED[0], "EntropyInput ="))],
+        f"e.rsp: line {count_line(BUNDLED[0], 'EntropyInput =')}: case 0 has 0 EntropyInput"),
+    "no-returned-bits": (lambda tmp: [
+        "cavp", written(tmp / "r.rsp", without_first(BUNDLED[1], "ReturnedBits ="))],
+        f"r.rsp: line {count_line(BUNDLED[1], 'ReturnedBits =')}: case 0 has 0 ReturnedBits"),
     "empty-entropy": (lambda tmp: [
         "gen", "--entropy", "", "--entropy-len", "0", "--out-len", "8"], "nonempty"),
     "system-zero-entropy-len": (lambda tmp: [

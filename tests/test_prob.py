@@ -123,6 +123,61 @@ class TestOracles:
         assert d.pr(((1, 2), 1)) == F(1, 2)
 
 
+DEPTH = 2000  # twice Python's default recursion limit
+
+
+def left_nested(first, step) -> object:
+    """bind(...bind(bind(first, step(1)), step(2))..., step(DEPTH))."""
+    comp = first
+    for j in range(1, DEPTH + 1):
+        comp = bind(comp, step(j))
+    return comp
+
+
+def binomial(n: int, offset: int) -> Distribution:
+    return Distribution.from_dict(
+        {offset + k: F(math.comb(n, k), 2**n) for k in range(n + 1)}
+    )
+
+
+class TestDeepBinds:
+    """A left-nested chain of binds runs without recursion, so its
+    depth is bounded by memory, not by Python's recursion limit."""
+
+    def test_sample(self):
+        comp = left_nested(coin(), lambda j: lambda x: mapc(coin(), lambda b: x + b))
+
+        def flat(n: int, acc: int) -> Sample:
+            # the same DEPTH + 1 draws, with no bind at all
+            return Sample(1, lambda b: Return(acc + b) if n == 0 else flat(n - 1, acc + b))
+
+        for seed in range(3):
+            assert sample(comp, seed) == sample(flat(DEPTH, 0), seed)
+
+    def test_exact_dist(self):
+        # a coin first and at every 400th step, +1 at every other step
+        def step(j: int):
+            if j % 400:
+                return lambda x: Return(x + 1)
+            return lambda x: mapc(coin(), lambda b: x + b)
+
+        comp = left_nested(coin(), step)
+        assert exact_dist(comp) == binomial(6, DEPTH - 5)
+
+    def test_run_with_oracle(self):
+        # the oracle answers input + 1, plus a coin on every 500th query
+        def transition(n: int, inp: int) -> object:
+            if n % 500:
+                return Return((inp + 1, n + 1))
+            return mapc(coin(), lambda b: (inp + 1 + b, n + 1))
+
+        comp = left_nested(query(0), lambda j: query)
+        plain = run_with_oracle(comp, Oracle(transition, 0))
+        want = binomial(5, DEPTH + 1).map(lambda a: (a, DEPTH + 1))
+        assert exact_dist(plain) == want
+        assert sample(plain, 7) in want.support()
+
+
 class TestDistribution:
     def test_from_dict_validates(self):
         with pytest.raises(ValueError):
