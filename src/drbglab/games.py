@@ -1132,6 +1132,31 @@ def main_theorem_check(p: HybridParams, evaluator=None) -> MainTheoremReport:
 # ------------------------------------------------------------- calibration
 
 
+# (game, eta, calls, blocks per call, adversary, adversary name, index)
+CALIBRATION_SPECS: tuple[tuple[str, int, int, int, Any, str, int | None], ...] = (
+    ("g_real", 2, 2, 2, collision_detector, "collision", None),
+    ("g_real", 3, 3, 2, collision_detector, "collision", None),
+    ("g_real", 2, 3, 2, first_bit, "first_bit", None),
+    ("g1_prg", 2, 2, 2, collision_detector, "collision", None),
+    ("g_ideal", 2, 2, 2, collision_detector, "collision", None),
+    ("g_ideal", 3, 2, 2, collision_detector, "collision", None),
+    ("g_ideal", 1, 3, 2, first_bit, "first_bit", None),
+    ("g_ideal", 2, 2, 2, constant(True), "constant", None),
+    ("gi_prg", 2, 2, 2, collision_detector, "collision", 1),
+    ("gi_prg", 2, 2, 2, collision_detector, "collision", 2),
+    ("gi_prg", 3, 2, 2, collision_detector, "collision", 1),
+    ("gi_prg", 1, 2, 2, collision_detector, "collision", 1),
+    ("gi_prf", 2, 2, 2, collision_detector, "collision", 1),
+    ("gi_prf", 3, 2, 2, collision_detector, "collision", 0),
+    ("gi_prf", 3, 2, 1, collision_detector, "collision", 1),
+    ("gi_rf", 2, 2, 2, collision_detector, "collision", 0),
+    ("gi_rf", 2, 2, 2, collision_detector, "collision", 1),
+    ("gi_rb", 2, 2, 2, collision_detector, "collision", 0),
+    ("gi_rb", 2, 2, 1, collision_detector, "collision", 1),
+    ("gi_rb", 2, 2, 2, first_bit, "first_bit", 1),
+)
+
+
 def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     """Twenty enumerable games with their exact win probabilities,
     for calibrating the Monte Carlo estimator: each exact value should
@@ -1139,36 +1164,14 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     the confidence level promises.
 
     Each entry pairs the faithful computation tree, which the estimator
-    samples, with the factored evaluator's exact value; tests pin every
-    value to the enumeration of its tree.
+    samples, with the enumeration of that same tree; tests pin every
+    value to the factored evaluator.
     """
-    specs: list[tuple[str, int, int, int, Any, str, int | None]] = [
-        ("g_real", 2, 2, 2, collision_detector, "collision", None),
-        ("g_real", 3, 3, 2, collision_detector, "collision", None),
-        ("g_real", 2, 3, 2, first_bit, "first_bit", None),
-        ("g1_prg", 2, 2, 2, collision_detector, "collision", None),
-        ("g_ideal", 2, 2, 2, collision_detector, "collision", None),
-        ("g_ideal", 3, 2, 2, collision_detector, "collision", None),
-        ("g_ideal", 1, 3, 2, first_bit, "first_bit", None),
-        ("g_ideal", 2, 2, 2, constant(True), "constant", None),
-        ("gi_prg", 2, 2, 2, collision_detector, "collision", 1),
-        ("gi_prg", 2, 2, 2, collision_detector, "collision", 2),
-        ("gi_prg", 3, 2, 2, collision_detector, "collision", 1),
-        ("gi_prg", 1, 2, 2, collision_detector, "collision", 1),
-        ("gi_prf", 2, 2, 2, collision_detector, "collision", 1),
-        ("gi_prf", 3, 2, 2, collision_detector, "collision", 0),
-        ("gi_prf", 3, 2, 1, collision_detector, "collision", 1),
-        ("gi_rf", 2, 2, 2, collision_detector, "collision", 0),
-        ("gi_rf", 2, 2, 2, collision_detector, "collision", 1),
-        ("gi_rb", 2, 2, 2, collision_detector, "collision", 0),
-        ("gi_rb", 2, 2, 1, collision_detector, "collision", 1),
-        ("gi_rb", 2, 2, 2, first_bit, "first_bit", 1),
-    ]
     out = []
-    for game, eta, nc, bpc, adversary, adv_name, i in specs:
+    for game, eta, nc, bpc, adversary, adv_name, i in CALIBRATION_SPECS:
         p = HybridParams(eta, nc, bpc, adversary=adversary)
         comp = build_game(p, game, i)
-        exact = GameEvaluator(p).pr(game, i).mid
+        exact = exact_dist(comp, max_path_bits=18).pr_true
         where = "" if i is None else f" i={i}"
         name = f"{game}{where} eta={eta} calls={nc} blocks={bpc} adv={adv_name}"
         out.append((name, comp, exact))

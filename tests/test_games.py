@@ -12,6 +12,7 @@ import pytest
 from drbglab.bounds import birthday_exact, pr_collisions
 from drbglab.games import (
     ALL_CHECKS,
+    CALIBRATION_SPECS,
     EQUALITY_LEMMAS,
     INEQUALITY_CHECKS,
     KV,
@@ -421,7 +422,11 @@ class TestCalibrationCorpus:
             assert " eta=" in name and " adv=" in name
 
     def test_exact_values_are_reproducible(self):
-        # the values come from the factored evaluator; the specification
-        # is the enumeration of the tree each entry hands the estimator
-        for name, comp, exact in calibration_games():
-            assert exact_dist(comp, max_path_bits=18).pr_true == exact, name
+        # each value is the enumeration of the tree the estimator samples;
+        # 8 of these games have no other factored-vs-enumeration pin
+        games = calibration_games()
+        assert len(games) == len(CALIBRATION_SPECS)
+        for (name, _, exact), spec in zip(games, CALIBRATION_SPECS):
+            game, eta, nc, bpc, adversary, _, i = spec
+            p = HybridParams(eta, nc, bpc, adversary=adversary)
+            assert GameEvaluator(p).pr(game, i).mid == exact, name
