@@ -76,6 +76,8 @@ def _hex_arg(text: str) -> bytes:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.system:
         stream = SystemStream()
     else:
@@ -107,7 +109,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_cavp(args: argparse.Namespace) -> int:
-    summary = cavp.run_file(cavp.parse_path(args.path), mechanism=args.mechanism)
+    parsed = cavp.parse_path(args.path)
+    summary = cavp.run_file(parsed, mechanism=args.mechanism)
+    if summary.passed + summary.failed == 0:
+        # a run that checked nothing must not pass
+        found = ", ".join(dict.fromkeys(g.mechanism for g in parsed.groups)) or "none"
+        wanted = args.mechanism or cavp.SUPPORTED_MECHANISM
+        raise ValueError(
+            f"{args.path}: no case ran for mechanism {wanted}; "
+            f"the file's mechanisms are {found}"
+        )
     if args.report:
         lines = cavp.report_lines(summary)
         if args.report == "-":

@@ -11,6 +11,10 @@ every one of those games as a finite probabilistic computation
 *exact rational* distribution equalities at small ``eta``, falling back
 to Monte Carlo estimation when enumeration is infeasible.
 
+Every game has one shape, written once as a play loop: draw the initial
+state, serve each generate call of the run, and hand every output block
+to the adversary. The games differ only in how each call is served.
+
 Two exact paths compute game probabilities:
 
 - the faithful path runs :func:`~drbglab.prob.exact_dist` directly on
@@ -23,11 +27,13 @@ Two exact paths compute game probabilities:
   a Python int over an implicit ``2^bits`` denominator until the game
   ends.
 
-Tests pin the two paths equal on every game family. Checks use the
-factored evaluator when the adversary supports incremental folding and
-its state-space estimate fits a budget; otherwise they enumerate the
-faithful tree under a cap on random bits per path, and fall back to
-Monte Carlo estimation when the tree exceeds that cap.
+Tests pin the two paths equal on every game family. The evaluator reads
+every probability off one exact ``(answer, bad)`` joint per game: the
+factored one when the adversary supports incremental folding and its
+state-space estimate fits a budget, otherwise the enumeration of the
+faithful tree under a cap on random bits per path. An oracle game is
+enumerated once, as its ``(answer, bad)`` tree. Past the cap, Monte
+Carlo estimation takes over.
 """
 
 from __future__ import annotations
@@ -145,7 +151,7 @@ class CollisionAdversary:
 
     def absorb(self, state: Any, value: int, eta: int) -> Any:
         if state == _DUP or value in state:
-            return _DUP if state == _DUP or value in state else state
+            return _DUP
         return state | {value}
 
     def finish_pr(self, state: Any) -> Fraction:
@@ -213,10 +219,6 @@ class HybridParams:
         self.prf = prf if prf is not None else small_prf(eta)
         self.adversary = adversary if adversary is not None else collision_detector
         self._prf_memo: dict[tuple[int, str, int], int] = {}
-
-    @property
-    def request_list(self) -> tuple[int, ...]:
-        return (self.blocks_per_call,) * self.num_calls
 
     def block(self, value: int) -> Block:
         return Block(self.eta, value)
@@ -307,13 +309,7 @@ def generate_rb_intermediate(p: HybridParams, state: KV, n: int) -> Comp:
     """
     if n == 0:
         return mapc(_sample_block(p), lambda b: ([], KV(state.k, b)))
-
-    def go(remaining: int, acc: tuple[Block, ...]) -> Comp:
-        if remaining == 0:
-            return Return((list(acc), KV(state.k, acc[-1])))
-        return bind(_sample_block(p), lambda b: go(remaining - 1, acc + (b,)))
-
-    return go(n, ())
+    return mapc(generate_rb(p, n), lambda bs: (bs, KV(state.k, bs[-1])))
 
 
 def instantiate_spec(p: HybridParams) -> Comp:
@@ -324,21 +320,18 @@ def instantiate_spec(p: HybridParams) -> Comp:
     )
 
 
-def oracle_map(
-    step: Callable[[Any, int], Comp], init: Any, requests: tuple[int, ...] | list[int]
-) -> Comp:
-    """Stateful left-to-right map inside Comp: step(state, request) ->
-    Comp of (output, state); returns ([outputs...], final_state)."""
-    requests = tuple(requests)
-    if not requests:
-        return Return(([], init))
-    return bind(
-        step(init, requests[0]),
-        lambda out_st: mapc(
-            oracle_map(step, out_st[1], requests[1:]),
-            lambda rest: ([out_st[0]] + rest[0], rest[1]),
-        ),
-    )
+def _play(p: HybridParams, step: Callable[[int, Any, int], Comp], start: Comp) -> Comp:
+    """The one shape of every game: draw the initial state from start,
+    serve each generate call of the run with step(call, state, n) -> Comp
+    of (blocks, state'), and hand all output blocks to the adversary."""
+    n = p.blocks_per_call
+
+    def go(call: int, state: Any, outs: tuple) -> Comp:
+        if call == p.num_calls:
+            return p.adversary([list(sub) for sub in outs])
+        return bind(step(call, state, n), lambda out: go(call + 1, out[1], outs + (out[0],)))
+
+    return bind(start, lambda state: go(0, state, ()))
 
 
 # ------------------------------------------------------------------ the games
@@ -346,27 +339,14 @@ def oracle_map(
 
 def g_real(p: HybridParams) -> Comp:
     """Real experiment: PRF-driven generator, adversary sees all output."""
-    return bind(
-        instantiate_spec(p),
-        lambda kv: bind(
-            oracle_map(lambda st, n: generate_spec(p, st, n), kv, p.request_list),
-            lambda outs_st: p.adversary(outs_st[0]),
-        ),
-    )
+    return _play(p, lambda call, kv, n: generate_spec(p, kv, n), instantiate_spec(p))
 
 
 def g_ideal(p: HybridParams) -> Comp:
     """Ideal experiment: every call returns fresh uniform blocks."""
-
-    def go(calls: int, acc: tuple) -> Comp:
-        if calls == 0:
-            return p.adversary([list(sub) for sub in acc])
-        return bind(
-            generate_rb(p, p.blocks_per_call),
-            lambda bs: go(calls - 1, acc + (tuple(bs),)),
-        )
-
-    return go(p.num_calls, ())
+    return _play(
+        p, lambda call, _, n: mapc(generate_rb(p, n), lambda bs: (bs, None)), Return(None)
+    )
 
 
 def g1_prg(p: HybridParams) -> Comp:
@@ -374,48 +354,22 @@ def g1_prg(p: HybridParams) -> Comp:
     call: first call skips the initial update, later calls perform it,
     nobody updates v at the end."""
 
-    def step(st: tuple[int, KV], n: int) -> Comp:
-        calls_so_far, kv = st
-        comp = generate_noV(p, kv, n) if calls_so_far == 0 else generate_v(p, kv, n)
-        return mapc(comp, lambda out: (out[0], (calls_so_far + 1, out[1])))
+    def step(call: int, kv: KV, n: int) -> Comp:
+        return generate_noV(p, kv, n) if call == 0 else generate_v(p, kv, n)
 
-    return bind(
-        instantiate_spec(p),
-        lambda kv: bind(
-            oracle_map(step, (0, kv), p.request_list),
-            lambda outs_st: p.adversary(outs_st[0]),
-        ),
-    )
-
-
-def choose_generate(
-    p: HybridParams, i: int, calls_so_far: int, state: KV, n: int
-) -> Comp:
-    """Hybrid-i call dispatch: calls before i are ideal, call i itself
-    and everything after use the PRF (the first PRF call skips the
-    initial v update). Returns (blocks, (calls_so_far + 1, state'))."""
-    if calls_so_far < i:
-        comp = generate_rb_intermediate(p, state, n)
-    elif calls_so_far == 0:
-        comp = generate_noV(p, state, n)
-    else:
-        comp = generate_v(p, state, n)
-    return mapc(comp, lambda out: (out[0], (calls_so_far + 1, out[1])))
+    return _play(p, step, instantiate_spec(p))
 
 
 def gi_prg(p: HybridParams, i: int) -> Comp:
-    """Hybrid game i: first i calls ideal, the rest PRF-driven."""
+    """Hybrid game i: first i calls ideal, the rest PRF-driven (the first
+    PRF call skips the initial v update)."""
 
-    def step(st: tuple[int, KV], n: int) -> Comp:
-        return choose_generate(p, i, st[0], st[1], n)
+    def step(call: int, kv: KV, n: int) -> Comp:
+        if call < i:
+            return generate_rb_intermediate(p, kv, n)
+        return generate_noV(p, kv, n) if call == 0 else generate_v(p, kv, n)
 
-    return bind(
-        instantiate_spec(p),
-        lambda kv: bind(
-            oracle_map(step, (0, kv), p.request_list),
-            lambda outs_st: p.adversary(outs_st[0]),
-        ),
-    )
+    return _play(p, step, instantiate_spec(p))
 
 
 # ------------------------------------------------------------------- oracles
@@ -494,19 +448,14 @@ def prf_adversary(p: HybridParams, i: int) -> Comp:
     if not 0 <= i <= p.num_calls:
         raise ValueError(f"i must be in 0..{p.num_calls}, got {i}")
 
-    def go(call: int, state: KV, outs: tuple) -> Comp:
-        if call == p.num_calls:
-            return p.adversary([list(sub) for sub in outs])
-        n = p.blocks_per_call
+    def step(call: int, kv: KV, n: int) -> Comp:
         if call < i:
-            comp = generate_rb_intermediate(p, state, n)
-        elif call == i:
-            comp = _generate_oc(p, state, n, nov=(i == 0))
-        else:
-            comp = generate_v(p, state, n)
-        return bind(comp, lambda out: go(call + 1, out[1], outs + (tuple(out[0]),)))
+            return generate_rb_intermediate(p, kv, n)
+        if call == i:
+            return _generate_oc(p, kv, n, nov=(i == 0))
+        return generate_v(p, kv, n)
 
-    return bind(instantiate_spec(p), lambda kv: go(0, kv, ()))
+    return _play(p, step, instantiate_spec(p))
 
 
 def gi_prf(p: HybridParams, i: int) -> Comp:
@@ -545,6 +494,9 @@ def gi_rb_bad(p: HybridParams, i: int) -> Comp:
         run_with_oracle(prf_adversary(p, i), rb_oracle(p)),
         lambda rs: (rs[0], _trace_has_duplicate_input(rs[1])),
     )
+
+
+_BAD_TREES = {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}  # each oracle game's (answer, bad) tree
 
 
 # ------------------------------------------------------ the factored evaluator
@@ -780,17 +732,19 @@ DEFAULT_FAST_OPS_CAP = 2_000_000
 class GameEvaluator:
     """Computes game probabilities, picking the cheapest sound method.
 
-    The factored evaluator runs whenever the adversary supports
-    incremental folding and ``state_bound * 2^(2*eta)`` fits
-    ``DEFAULT_FAST_OPS_CAP``: every game is one step list (draw an
-    eta-bit block, run a deterministic generate call, answer an oracle
-    query) propagated forward over merged integer states, with k and v
-    drawn lazily at first read and masses kept as ints over a ``2^bits``
-    denominator until the game ends. Otherwise the faithful tree is
-    enumerated with ``exact_dist`` under ``DEFAULT_NAIVE_BITS_CAP`` random
-    bits per path, and a tree that exceeds the cap falls back to Monte
-    Carlo with Clopper-Pearson intervals. Results are memoized per
-    evaluator, so a lemma suite shares work across checks.
+    Every query reads one memoized exact ``(answer, bad)`` joint per game
+    (``bad`` is False outside the oracle games). The factored evaluator
+    computes it whenever the adversary supports incremental folding and
+    ``state_bound * 2^(2*eta)`` fits ``DEFAULT_FAST_OPS_CAP``: every game
+    is one step list (draw an eta-bit block, run a deterministic generate
+    call, answer an oracle query) propagated forward over merged integer
+    states, with k and v drawn lazily at first read and masses kept as
+    ints over a ``2^bits`` denominator until the game ends. Otherwise the
+    faithful tree is enumerated with ``exact_dist`` under
+    ``DEFAULT_NAIVE_BITS_CAP`` random bits per path, an oracle game once
+    as its ``(answer, bad)`` tree. A tree that exceeds the cap falls back
+    to Monte Carlo with Clopper-Pearson intervals. Results are memoized
+    per evaluator, so a lemma suite shares work across checks.
     """
 
     def __init__(
@@ -802,96 +756,89 @@ class GameEvaluator:
         self.trials = trials
         self.seed = seed
         self._pr: dict[tuple, Iv] = {}
-        self._joint: dict[tuple, Any] = {}
+        self._joint: dict[tuple, dict[tuple[bool, bool], Fraction] | None] = {}
+        self._cells: dict[tuple, dict[tuple[bool, bool], AdvantageEstimate]] = {}
         adv = p.adversary
         self._factored = (
             _has_fold_protocol(adv)
-            and p.eta <= 24
             and adv.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
             <= DEFAULT_FAST_OPS_CAP
         )
         self.modes_used: set[str] = set()
+
+    def _exact(self, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction] | None:
+        """The exact (answer, bad) joint of a game, or None past the
+        enumeration cap."""
+        key = (game, i)
+        if key in self._joint:
+            return self._joint[key]
+        oracle_tree = _BAD_TREES.get(game)
+        if oracle_tree and (i is None or not 0 <= i < self.p.num_calls):
+            raise ValueError(f"i must be in 0..{self.p.num_calls - 1}, got {i}")
+        if self._factored:
+            self.modes_used.add("factored")
+            joint = _propagate(self.p, game, i)
+        else:
+            comp = oracle_tree(self.p, i) if oracle_tree else build_game(self.p, game, i)
+            try:
+                dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
+            except EnumerationCapExceeded:
+                joint = None
+            else:
+                self.modes_used.add("enumerated")
+                joint = {(v if oracle_tree else (v, False)): pr for v, pr in dist.items()}
+        self._joint[key] = joint
+        return joint
+
+    def _estimates(self, game: str, i: int) -> dict[tuple[bool, bool], AdvantageEstimate]:
+        """Monte Carlo estimates of the four (answer, bad) cells of an
+        oracle game, each replaying the same seeded trials."""
+        key = (game, i)
+        if key not in self._cells:
+            self.modes_used.add("monte-carlo")
+            comp = _BAD_TREES[game](self.p, i)
+            self._cells[key] = {
+                o: estimate_pr_true(mapc(comp, lambda x, _o=o: x == _o), self.trials, self.seed)
+                for o in ((True, True), (True, False), (False, True), (False, False))
+            }
+        return self._cells[key]
 
     # -- Pr[game outputs True]
 
     def pr(self, game: str, i: int | None = None) -> Iv:
         key = (game, i)
         if key not in self._pr:
-            self._pr[key] = self._compute_pr(game, i)
-        return self._pr[key]
-
-    def _compute_pr(self, game: str, i: int | None) -> Iv:
-        if self._factored:
-            if game in ("gi_rf", "gi_rb"):
-                _, joint = self._joint_dist(game[3:], i)
+            joint = self._exact(game, i)
+            if joint is None:
+                self.modes_used.add("monte-carlo")
+                comp = build_game(self.p, game, i)
+                value = Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
             else:
-                self.modes_used.add("factored")
-                joint = _propagate(self.p, game, i)
-            return Iv.of_fraction(sum((pr for (a, _), pr in joint.items() if a), Fraction(0)))
-        comp = build_game(self.p, game, i)
-        try:
-            dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
-        except EnumerationCapExceeded:
-            self.modes_used.add("monte-carlo")
-            return Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
-        self.modes_used.add("enumerated")
-        return Iv.of_fraction(dist.pr_true)
+                value = Iv.of_fraction(sum((pr for (a, _), pr in joint.items() if a), Fraction(0)))
+            self._pr[key] = value
+        return self._pr[key]
 
     # -- the bad event and the joint (answer, no-bad) masses
 
-    def _joint_dist(self, oracle: str, i: int) -> Any:
-        key = (oracle, i)
-        if key in self._joint:
-            return self._joint[key]
-        if i is None or not 0 <= i < self.p.num_calls:
-            raise ValueError(f"i must be in 0..{self.p.num_calls - 1}, got {i}")
-        if self._factored:
-            self.modes_used.add("factored")
-            value: Any = ("exact", _propagate(self.p, f"gi_{oracle}", i))
-        else:
-            builder = gi_rb_bad if oracle == "rb" else gi_rf_dups_bad
-            comp = builder(self.p, i)
-            try:
-                dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
-            except EnumerationCapExceeded:
-                self.modes_used.add("monte-carlo")
-                outcomes = [(a, b) for a in (True, False) for b in (True, False)]
-                value = (
-                    "mc",
-                    {
-                        o: estimate_pr_true(
-                            mapc(comp, lambda x, _o=o: x == _o),
-                            self.trials,
-                            self.seed,
-                        )
-                        for o in outcomes
-                    },
-                )
-            else:
-                self.modes_used.add("enumerated")
-                value = ("exact", dict(dist.items()))
-        self._joint[key] = value
-        return value
-
     def pr_bad(self, oracle: str, i: int) -> Iv:
-        kind, dist = self._joint_dist(oracle, i)
-        if kind == "exact":
-            total = sum(
-                (pr for (_, bad), pr in dist.items() if bad), Fraction(0)
-            )
-            return Iv.of_fraction(total)
+        game = f"gi_{oracle}"
+        joint = self._exact(game, i)
+        if joint is not None:
+            return Iv.of_fraction(sum((pr for (_, bad), pr in joint.items() if bad), Fraction(0)))
         # both estimates replay the same seeded trials, so their hits add
         # up to the bad-event count: one interval for the pooled count
-        true_bad, false_bad = dist[(True, True)], dist[(False, True)]
+        cells = self._estimates(game, i)
+        true_bad, false_bad = cells[(True, True)], cells[(False, True)]
         hits, trials = true_bad.hits + false_bad.hits, true_bad.trials
         low, high = clopper_pearson(hits, trials)
         return Iv(low, hits / trials, high, False)
 
     def pr_joint_no_bad(self, oracle: str, i: int, answer: bool) -> Iv:
-        kind, dist = self._joint_dist(oracle, i)
-        if kind == "exact":
-            return Iv.of_fraction(dist.get((answer, False), Fraction(0)))
-        return Iv.of_estimate(dist[(answer, False)])
+        game = f"gi_{oracle}"
+        joint = self._exact(game, i)
+        if joint is not None:
+            return Iv.of_fraction(joint.get((answer, False), Fraction(0)))
+        return Iv.of_estimate(self._estimates(game, i)[(answer, False)])
 
     @property
     def mode(self) -> str:

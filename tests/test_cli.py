@@ -372,6 +372,11 @@ PROBES = {
     "no-returned-bits": (lambda tmp: [
         "cavp", written(tmp / "r.rsp", without_first(BUNDLED[1], "ReturnedBits ="))],
         f"r.rsp: line {count_line(BUNDLED[1], 'ReturnedBits =')}: case 0 has 0 ReturnedBits"),
+    "no-case-ran": (lambda tmp: [
+        "cavp", vector_path(BUNDLED[0]), "--mechanism", "sha-256"],
+        "mechanism sha-256; the file's mechanisms are SHA-1, SHA-224, SHA-256, SHA-384, SHA-512"),
+    "negative-count": (lambda tmp: [
+        "gen", "--entropy", "00" * 32, "--out-len", "8", "--count", "-1"], "--count must be >= 0"),
     "empty-entropy": (lambda tmp: [
         "gen", "--entropy", "", "--entropy-len", "0", "--out-len", "8"], "nonempty"),
     "system-zero-entropy-len": (lambda tmp: [

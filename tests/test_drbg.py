@@ -5,6 +5,9 @@ import hmac as stdlib_hmac
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from drbglab.drbg import (
     DEFAULT_RESEED_INTERVAL,
@@ -241,3 +244,99 @@ def test_state_validation():
         fresh_state(reseed_interval=0)
     with pytest.raises(ValueError):
         fresh_state(entropy_len=-1)
+
+
+# ------------------------------------------------- stateful reseed checking
+
+
+class ReferenceDrbg:
+    """HMAC-DRBG on the stdlib hmac with the reseed policy of
+    ``generate_with_entropy``: reseed first under prediction resistance
+    or past the interval, spending the additional input on the reseed.
+    A failed call changes nothing."""
+
+    def __init__(self, seed: bytes, entropy: bytes, entropy_len: int, pr: bool, interval: int):
+        self.key, self.v = b"\x00" * 32, b"\x01" * 32
+        self.update(seed)
+        self.counter, self.entropy = 1, entropy
+        self.entropy_len, self.pr, self.interval = entropy_len, pr, interval
+
+    def snapshot(self) -> tuple:
+        return (self.key, self.v, self.counter, self.entropy)
+
+    def update(self, data: bytes) -> None:
+        for sep in (b"\x00", b"\x01") if data else (b"\x00",):
+            self.key = H(self.key, self.v + sep + data)
+            self.v = H(self.key, self.v)
+
+    def generate(self, out_len: int, add: bytes) -> bytes:
+        if self.pr or self.counter > self.interval:
+            if len(self.entropy) < self.entropy_len:
+                raise EntropyExhausted("reference stream ran dry")
+            self.update(self.entropy[: self.entropy_len] + add)
+            self.entropy = self.entropy[self.entropy_len :]
+            self.counter, add = 1, b""
+        if add:
+            self.update(add)
+        out = b""
+        while len(out) < out_len:
+            self.v = H(self.key, self.v)
+            out += self.v
+        self.update(add)
+        self.counter += 1
+        return out[:out_len]
+
+
+# entropy of a drawn length: Hypothesis keeps drawn byte strings short,
+# which would leave the stream dry before most reseeds
+OCTETS = st.integers(0, 200).map(lambda n: bytes(i * 37 % 256 for i in range(n)))
+
+
+class ReseedMachine(RuleBasedStateMachine):
+    """generate_with_entropy against the reference, call by call, over
+    prediction resistance, intervals of 1-3, additional input and a
+    finite entropy stream that runs dry and is topped up."""
+
+    @initialize(
+        seed=st.binary(min_size=1, max_size=40),
+        entropy=OCTETS,
+        entropy_len=st.integers(1, 40),
+        pr=st.booleans(),
+        interval=st.integers(1, 3),
+    )
+    def start(self, seed, entropy, entropy_len, pr, interval):
+        self.state = instantiate(
+            seed, prediction_resistance=pr, entropy_len=entropy_len, reseed_interval=interval
+        )
+        self.stream = DeterministicStream(entropy)
+        self.ref = ReferenceDrbg(seed, entropy, entropy_len, pr, interval)
+
+    def snapshot(self) -> tuple:
+        return (self.state.key, self.state.v, self.state.reseed_counter, self.stream.remaining)
+
+    @rule(out_len=st.integers(0, 80), add=st.binary(max_size=40))
+    def generate(self, out_len, add):
+        before, ref_before = self.snapshot(), self.ref.snapshot()
+        try:
+            out, self.stream, self.state = generate_with_entropy(
+                self.stream, self.state, GenerateRequest(out_len, add)
+            )
+        except EntropyExhausted:
+            with pytest.raises(EntropyExhausted):
+                self.ref.generate(out_len, add)
+            assert self.snapshot() == before and self.ref.snapshot() == ref_before
+            return
+        assert out == self.ref.generate(out_len, add)
+
+    @rule(extra=OCTETS)
+    def top_up(self, extra):
+        self.stream = DeterministicStream(self.stream.remaining + extra)
+        self.ref.entropy += extra
+
+    @invariant()
+    def states_agree(self):
+        assert self.snapshot() == self.ref.snapshot()
+
+
+TestReseedMachine = ReseedMachine.TestCase
+TestReseedMachine.settings = settings(max_examples=60, stateful_step_count=15, deadline=None)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from drbglab import games
 from drbglab.bounds import birthday_exact, pr_collisions
 from drbglab.games import (
     ALL_CHECKS,
@@ -40,9 +41,9 @@ from drbglab.games import (
     iv_leq,
     iv_scale,
     main_theorem_check,
-    oracle_map,
     run_all_lemmas,
     small_prf,
+    _play,
 )
 from drbglab.prf import Block
 from drbglab.prob import (
@@ -52,6 +53,7 @@ from drbglab.prob import (
     estimate_pr_true,
     exact_dist,
     mapc,
+    sample_bits,
 )
 
 F = Fraction
@@ -130,12 +132,16 @@ class TestBuilders:
             assert blocks == () and st2.k == st.k
             assert pr == F(1, 4)
 
-    def test_oracle_map_threads_left_to_right(self):
-        step = lambda st, n: Return((st * 10 + n, st + n))
-        freeze = lambda out: (tuple(out[0]), out[1])
-        d = exact_dist(mapc(oracle_map(step, 0, (1, 2, 3)), freeze))
-        assert d.pr(((1, 12, 33), 6)) == 1
-        assert exact_dist(mapc(oracle_map(step, 7, ()), freeze)).pr(((), 7)) == 1
+    def test_play_threads_calls_left_to_right(self):
+        # each call sees the state the call before it left, and the
+        # adversary sees every call's blocks in call order
+        p = params(nc=3, bpc=2, adversary=lambda outs: Return(tuple(map(tuple, outs))))
+        step = lambda call, st, n: Return(([st * 10 + call] * n, st + call + 1))
+        d = exact_dist(_play(p, step, Return(7)))
+        assert d.pr(((70, 70), (81, 81), (102, 102))) == 1
+        d = exact_dist(_play(p, step, sample_bits(1)))
+        assert d.pr(((0, 0), (11, 11), (32, 32))) == F(1, 2)
+        assert d.pr(((10, 10), (21, 21), (42, 42))) == F(1, 2)
 
     def test_param_validation(self):
         for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -194,7 +200,6 @@ class TestFastAgainstEnumeration:
         jobs = [("g_real", None), ("g1_prg", None), ("g_ideal", None)]
         jobs += [("gi_prg", j) for j in range(nc + 1)]
         jobs += [("gi_prf", j) for j in range(nc + 1)]
-        jobs += [(g, j) for g in ("gi_rf", "gi_rb") for j in range(nc)]
         for game, j in jobs:
             try:
                 want = exact_dist(build_game(p, game, j), max_path_bits=18).pr_true
@@ -205,16 +210,17 @@ class TestFastAgainstEnumeration:
             assert got.mid == want, (game, j)
         assert ev.modes_used == {"factored"}  # the factored path must engage here
 
-    @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])
+    @pytest.mark.parametrize("eta,nc,bpc", GRID)
     def test_joint_bad_distributions_match(self, eta, nc, bpc):
+        # pr("gi_rf"/"gi_rb") is this joint's answer mass, so one
+        # enumeration per oracle game pins the joint and the win probability
         for adv in (collision_detector, first_bit):
             p = HybridParams(eta, nc, bpc, adversary=adv)
             ev = GameEvaluator(p)
             for j in range(nc):
                 for oracle, builder in (("rb", gi_rb_bad), ("rf", gi_rf_dups_bad)):
                     want = exact_dist(builder(p, j), max_path_bits=20)
-                    kind, joint = ev._joint_dist(oracle, j)
-                    assert kind == "exact"
+                    joint = ev._exact(f"gi_{oracle}", j)
                     assert joint == dict(want.items()), (adv, oracle, j)
                     answer_true = sum((pr for (a, _), pr in joint.items() if a), F(0))
                     assert ev.pr(f"gi_{oracle}", j).mid == answer_true
@@ -346,9 +352,9 @@ class TestEvaluatorModes:
         p = HybridParams(16, 2, 2)
         ev = GameEvaluator(p, trials=500, seed=3)
         got = ev.pr_bad("rb", 1)
-        kind, dist = ev._joint_dist("rb", 1)
-        assert kind == "mc" and not got.exact
-        true_bad, false_bad = dist[(True, True)], dist[(False, True)]
+        assert ev._exact("gi_rb", 1) is None and not got.exact
+        cells = ev._estimates("gi_rb", 1)
+        true_bad, false_bad = cells[(True, True)], cells[(False, True)]
         hits = true_bad.hits + false_bad.hits
         bad = estimate_pr_true(mapc(gi_rb_bad(p, 1), lambda out: out[1]), 500, 3)
         assert hits == bad.hits
@@ -411,22 +417,64 @@ class TestReporting:
         assert " i=1: " in line and " <= " in line and line.endswith(")")
 
 
+@pytest.fixture(scope="module")
+def calibration():
+    return calibration_games()
+
+
 class TestCalibrationCorpus:
-    def test_twenty_named_enumerable_games(self):
-        games = calibration_games()
-        assert len(games) == 20
-        names = [name for name, _, _ in games]
+    def test_twenty_named_enumerable_games(self, calibration):
+        assert len(calibration) == 20
+        names = [name for name, _, _ in calibration]
         assert len(set(names)) == 20
-        for name, comp, exact in games:
+        for name, comp, exact in calibration:
             assert 0 <= exact <= 1
             assert " eta=" in name and " adv=" in name
 
-    def test_exact_values_are_reproducible(self):
+    def test_exact_values_are_reproducible(self, calibration):
         # each value is the enumeration of the tree the estimator samples;
         # 8 of these games have no other factored-vs-enumeration pin
-        games = calibration_games()
-        assert len(games) == len(CALIBRATION_SPECS)
-        for (name, _, exact), spec in zip(games, CALIBRATION_SPECS):
+        assert len(calibration) == len(CALIBRATION_SPECS)
+        for (name, _, exact), spec in zip(calibration, CALIBRATION_SPECS):
             game, eta, nc, bpc, adversary, _, i = spec
             p = HybridParams(eta, nc, bpc, adversary=adversary)
             assert GameEvaluator(p).pr(game, i).mid == exact, name
+
+
+class TestSeededHitCounts:
+    """Monte Carlo hit counts are a function of the seed and of each
+    tree's draw order, so a change to how a game or the evaluator is
+    written must leave every one of them unchanged."""
+
+    # every estimate_pr_true call of the eta-16 first-bit suite, in order
+    ETA16_SUITE = [
+        51, 51, 51, 61, 55, 40, 55, 52, 52, 55, 55, 0, 55, 0, 45,
+        0, 55, 0, 45, 0, 55, 0, 45, 0, 55, 0, 45, 55, 55,
+    ]
+    # calibration_games() at 100 trials, seed 0xCA11 + j for game j
+    CALIBRATION = [
+        100, 97, 65, 100, 90, 59, 46, 100, 96, 90,
+        66, 100, 99, 70, 24, 99, 93, 97, 23, 41,
+    ]
+
+    def test_eta16_suite(self, monkeypatch):
+        hits = []
+
+        def counted(comp, trials, seed, confidence=0.99):
+            est = estimate_pr_true(comp, trials, seed, confidence)
+            hits.append(est.hits)
+            return est
+
+        monkeypatch.setattr(games, "estimate_pr_true", counted)
+        p = HybridParams(16, 2, 2, adversary=first_bit)
+        ev = GameEvaluator(p, trials=100, seed=0)
+        run_all_lemmas(p, evaluator=ev)
+        main_theorem_check(p, evaluator=ev)
+        assert hits == self.ETA16_SUITE
+
+    def test_calibration_games(self, calibration):
+        hits = [
+            estimate_pr_true(comp, 100, 0xCA11 + j).hits
+            for j, (_, comp, _) in enumerate(calibration)
+        ]
+        assert hits == self.CALIBRATION
