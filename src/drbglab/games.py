@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
-from .prf import Bits, Block, prf_small
+from .prf import ZERO_OCTET, Block, prf_small
 from .prob import (
     MIN_TRIALS,
     AdvantageEstimate,
@@ -61,9 +61,6 @@ from .prob import (
     run_with_oracle,
     sample_bits,
 )
-
-ZEROES: Bits = (0,) * 8  # the one-octet 0x00 separator, as bits
-
 
 class KV(NamedTuple):
     """Generator working state: key block and chaining block."""
@@ -108,7 +105,7 @@ class FirstBitAdversary:
     def __call__(self, outputs: list[list[Block]]) -> Comp:
         for sub in outputs:
             if sub:
-                return Return(sub[0].bits()[0] == 1)
+                return Return(sub[0].value >> (sub[0].eta - 1) == 1)
         return Return(False)
 
     def initial(self) -> Any:
@@ -184,21 +181,13 @@ def _has_fold_protocol(adv: Any) -> bool:
 # ----------------------------------------------------------------- parameters
 
 
-def small_prf(eta: int) -> Callable[[Block, Bits], Block]:
-    """The default eta-bit PRF (truncated keyed hash over encoded input)."""
-
-    def f(key: Block, input_bits: Bits) -> Block:
-        return prf_small(eta, key, input_bits)
-
-    return f
-
-
 class HybridParams:
     """Shared parameters of the game family.
 
     eta: block width in bits; num_calls: generate calls in a run;
-    blocks_per_call: blocks per generate call; prf: (Block, Bits) ->
-    Block; adversary: callable from full output to Comp of bool.
+    blocks_per_call: blocks per generate call; prf: (Block, Block) ->
+    Block, key then input, defaulting to ``prf_small``; adversary:
+    callable from full output to Comp of bool.
     """
 
     def __init__(
@@ -206,7 +195,7 @@ class HybridParams:
         eta: int,
         num_calls: int,
         blocks_per_call: int,
-        prf: Callable[[Block, Bits], Block] | None = None,
+        prf: Callable[[Block, Block], Block] | None = None,
         adversary: Any = None,
     ) -> None:
         if not 1 <= eta <= 256:
@@ -216,7 +205,7 @@ class HybridParams:
         self.eta = eta
         self.num_calls = num_calls
         self.blocks_per_call = blocks_per_call
-        self.prf = prf if prf is not None else small_prf(eta)
+        self.prf = prf if prf is not None else prf_small
         self.adversary = adversary if adversary is not None else collision_detector
         self._prf_memo: dict[tuple[int, str, int], int] = {}
 
@@ -230,10 +219,10 @@ class HybridParams:
         hit = self._prf_memo.get(memo_key)
         if hit is not None:
             return hit
-        bits = self.block(value).bits()
+        x = self.block(value)
         if kind == "r":
-            bits = bits + ZEROES
-        out = self.prf(self.block(key), bits).value
+            x = x + ZERO_OCTET
+        out = self.prf(self.block(key), x).value
         self._prf_memo[memo_key] = out
         return out
 
@@ -253,7 +242,7 @@ def gen_loop(p: HybridParams, k: Block, v: Block, n: int) -> tuple[list[Block], 
     blocks: list[Block] = []
     cur = v
     for _ in range(n):
-        cur = p.prf(k, cur.bits())
+        cur = p.prf(k, cur)
         blocks.append(cur)
     return blocks, cur
 
@@ -262,8 +251,8 @@ def generate_spec(p: HybridParams, state: KV, n: int) -> Comp:
     """One full generate call: chain, rekey with the zero-octet pad,
     then the final v update. Deterministic, so a point-mass Comp."""
     blocks, v_last = gen_loop(p, state.k, state.v, n)
-    k2 = p.prf(state.k, v_last.bits() + ZEROES)
-    v2 = p.prf(k2, v_last.bits())
+    k2 = p.prf(state.k, v_last + ZERO_OCTET)
+    v2 = p.prf(k2, v_last)
     return Return((blocks, KV(k2, v2)))
 
 
@@ -271,7 +260,7 @@ def generate_noV(p: HybridParams, state: KV, n: int) -> Comp:
     """Generate without the trailing v update: the last chain block
     stays as the new v."""
     blocks, v_last = gen_loop(p, state.k, state.v, n)
-    k2 = p.prf(state.k, v_last.bits() + ZEROES)
+    k2 = p.prf(state.k, v_last + ZERO_OCTET)
     return Return((blocks, KV(k2, v_last)))
 
 
@@ -279,9 +268,9 @@ def generate_v(p: HybridParams, state: KV, n: int) -> Comp:
     """Generate with the v update moved to the front: update v first,
     chain from the updated value, rekey, and keep the last chain block
     as the new v."""
-    v1 = p.prf(state.k, state.v.bits())
+    v1 = p.prf(state.k, state.v)
     blocks, v_last = gen_loop(p, state.k, v1, n)
-    k2 = p.prf(state.k, v_last.bits() + ZEROES)
+    k2 = p.prf(state.k, v_last + ZERO_OCTET)
     return Return((blocks, KV(k2, v_last)))
 
 
@@ -374,7 +363,7 @@ def gi_prg(p: HybridParams, i: int) -> Comp:
 
 # ------------------------------------------------------------------- oracles
 #
-# Oracle state is the query trace: a tuple of (input bit tuple, answer
+# Oracle state is the query trace: a tuple of (input Block, answer
 # Block) pairs, in query order. Every oracle records every query —
 # including repeats — so the bad event (a duplicate input) can be read
 # off the final trace.
@@ -383,7 +372,7 @@ def gi_prg(p: HybridParams, i: int) -> Comp:
 def f_oracle(p: HybridParams, k: Block) -> Oracle:
     """The PRF with a fixed key, wrapped as a (deterministic) oracle."""
 
-    def transition(trace: tuple, inp: Bits) -> Comp:
+    def transition(trace: tuple, inp: Block) -> Comp:
         ans = p.prf(k, inp)
         return Return((ans, trace + ((inp, ans),)))
 
@@ -395,7 +384,7 @@ def random_func(p: HybridParams) -> Oracle:
     input, the cached block on a repeated one. Repeats are still
     recorded in the trace."""
 
-    def transition(trace: tuple, inp: Bits) -> Comp:
+    def transition(trace: tuple, inp: Block) -> Comp:
         for past_inp, past_ans in trace:
             if past_inp == inp:
                 return Return((past_ans, trace + ((inp, past_ans),)))
@@ -408,7 +397,7 @@ def rb_oracle(p: HybridParams) -> Oracle:
     """Random-bits oracle: fresh uniform block on every query, caching
     nothing."""
 
-    def transition(trace: tuple, inp: Bits) -> Comp:
+    def transition(trace: tuple, inp: Block) -> Comp:
         return mapc(_sample_block(p), lambda b: (b, trace + ((inp, b),)))
 
     return Oracle(transition, ())
@@ -431,14 +420,14 @@ def _generate_oc(p: HybridParams, state: KV, n: int, nov: bool) -> Comp:
     def chain(cur: Block, remaining: int, acc: tuple[Block, ...]) -> Comp:
         if remaining == 0:
             return bind(
-                query(cur.bits() + ZEROES),
+                query(cur + ZERO_OCTET),
                 lambda k2: Return((list(acc), KV(k2, cur))),
             )
-        return bind(query(cur.bits()), lambda b: chain(b, remaining - 1, acc + (b,)))
+        return bind(query(cur), lambda b: chain(b, remaining - 1, acc + (b,)))
 
     if nov:
         return chain(state.v, n, ())
-    return bind(query(state.v.bits()), lambda v1: chain(v1, n, ()))
+    return bind(query(state.v), lambda v1: chain(v1, n, ()))
 
 
 def prf_adversary(p: HybridParams, i: int) -> Comp:

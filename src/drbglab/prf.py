@@ -6,10 +6,12 @@ module, so the FIPS 198 structure (key normalization, ipad/opad, nested
 hashing) is visible and testable on its own. The stdlib implementation
 serves as an independent oracle in the test suite.
 
-``prf_small`` shrinks HMAC-SHA256 to an ``eta``-bit block cipher-style
-PRF so that probability experiments over the full input space stay
-enumerable at small ``eta`` while exercising the real compression
-function.
+``Block`` is the one bit-vector format: keys, PRF inputs and PRF
+outputs are all Blocks, and a rekey input is ``v + ZERO_OCTET``.
+``prf_small`` shrinks HMAC-SHA256 to a PRF keyed and answered by
+``eta``-bit Blocks, so that probability experiments over the full input
+space stay enumerable at small ``eta`` while exercising the real
+compression function.
 """
 
 from __future__ import annotations
@@ -81,14 +83,13 @@ def from_hex(text: str) -> bytes:
         raise ValueError(f"invalid hex string {text!r}: {exc}") from None
 
 
-Bits = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Block:
     """An immutable bit-vector of length ``eta``, stored as an integer.
 
-    Bit order is MSB-first: ``Block(8, 0b10000000).bits() == (1,0,...,0)``.
+    Bit order is MSB-first, and ``a + b`` concatenates: ``b`` follows
+    ``a``. Equality compares widths too, so ``Block(8, 0)`` and
+    ``Block(16, 0)`` differ.
     """
 
     eta: int
@@ -100,15 +101,8 @@ class Block:
         if not 0 <= self.value < (1 << self.eta):
             raise ValueError(f"block value {self.value} out of range for eta={self.eta}")
 
-    def bits(self) -> Bits:
-        return tuple((self.value >> (self.eta - 1 - i)) & 1 for i in range(self.eta))
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "Block":
-        value = 0
-        for b in bits:
-            value = (value << 1) | (b & 1)
-        return cls(len(bits), value)
+    def __add__(self, other: "Block") -> "Block":
+        return Block(self.eta + other.eta, (self.value << other.eta) | other.value)
 
     def to_octets(self) -> bytes:
         if self.eta % 8 != 0:
@@ -120,60 +114,49 @@ class Block:
         return cls(8 * len(octets), int.from_bytes(octets, "big"))
 
 
-def encode_bits(bits: Bits) -> bytes:
-    """Injective octet encoding of a bit sequence.
+ZERO_OCTET = Block(8, 0)  # the 0x00 separator appended to a rekey input
 
-    Layout: one length octet (bit count mod 256) followed by the bits
-    right-aligned in the minimum number of octets (zero bits padded on
-    the left). Distinct (length, bits) pairs always produce distinct
-    octet strings: equal lengths differ in the payload, lengths that
-    differ by less than 256 differ in the length octet, and lengths that
-    differ by 256 or more differ in the payload octet count.
+
+def encode_bits(x: Block) -> bytes:
+    """Injective octet encoding of a bit-vector.
+
+    Layout: one length octet (width mod 256) followed by the value
+    right-aligned in ceil(width/8) octets (zero bits padded on the left).
+    Distinct Blocks always produce distinct octet strings: equal widths
+    differ in the payload, widths that differ by less than 256 differ in
+    the length octet, and widths that differ by 256 or more differ in the
+    payload octet count.
     """
-    n = len(bits)
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    payload = value.to_bytes((n + 7) // 8, "big") if n else b""
-    return bytes([n & 0xFF]) + payload
+    return bytes([x.eta & 0xFF]) + x.value.to_bytes((x.eta + 7) // 8, "big")
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _prf_small_raw(eta: int, key_value: int, bits: Bits) -> int:
-    key_block = Block(eta, key_value)
-    digest = hmac_sha256(encode_bits(key_block.bits()), encode_bits(bits))
+def _prf_small_raw(eta: int, key_value: int, width: int, value: int) -> int:
+    digest = hmac_sha256(encode_bits(Block(eta, key_value)), encode_bits(Block(width, value)))
     return int.from_bytes(digest, "big") >> (8 * SHA256_OUTPUT_OCTETS - eta)
 
 
-def prf_small(eta: int, key: Block, input_bits: Bits) -> Block:
-    """The ``eta``-bit PRF: first ``eta`` bits of HMAC-SHA256 over encoded inputs.
+def prf_small(key: Block, x: Block) -> Block:
+    """The ``key.eta``-bit PRF: the first ``key.eta`` bits of HMAC-SHA256
+    with ``encode_bits(key)`` as key and ``encode_bits(x)`` as message.
 
-    Both the key block and the input bit sequence go through
-    ``encode_bits`` before hashing, so the PRF is well defined for any
-    bit lengths and the pre-hash encoding never collides across
-    distinct inputs.
+    The length prefix makes the PRF well defined for any input width and
+    keeps a chain input (eta bits) apart from a rekey input (eta + 8
+    bits) before hashing.
     """
-    if not 1 <= eta <= 256:
-        raise ValueError(f"eta must be in 1..256, got {eta}")
-    if key.eta != eta:
-        raise ValueError(f"key width {key.eta} does not match eta={eta}")
-    return Block(eta, _prf_small_raw(eta, key.value, tuple(input_bits)))
+    eta = key.eta
+    if eta > 256:
+        raise ValueError(f"key width must be in 1..256, got {eta}")
+    return Block(eta, _prf_small_raw(eta, key.value, x.eta, x.value))
 
 
-def hmac_block_prf(key: Block, input_bits: Bits) -> Block:
+def hmac_block_prf(key: Block, x: Block) -> Block:
     """The 256-bit PRF used for cross-checking against the octet-level DRBG.
 
-    Here the bit sequences are whole octets already (widths 256 and
-    256+8), so they are hashed directly without the length-prefix
-    encoding; this is exactly HMAC-SHA256 on the serialized values.
+    Here the inputs are whole octets already (widths 256 and 256+8), so
+    they are hashed directly without the length-prefix encoding; this is
+    exactly HMAC-SHA256 on the serialized values.
     """
     if key.eta != 256:
         raise ValueError(f"hmac_block_prf needs a 256-bit key, got {key.eta}")
-    if len(input_bits) % 8 != 0:
-        raise ValueError("input bit length must be a whole number of octets")
-    n = len(input_bits)
-    value = 0
-    for b in input_bits:
-        value = (value << 1) | (b & 1)
-    message = value.to_bytes(n // 8, "big") if n else b""
-    return Block.from_octets(hmac_sha256(key.to_octets(), message))
+    return Block.from_octets(hmac_sha256(key.to_octets(), x.to_octets()))

@@ -279,16 +279,17 @@ def sample(comp: Comp, seed: int) -> Any:
 
 @dataclass(frozen=True)
 class AdvantageEstimate:
-    """Monte Carlo estimate of Pr[computation = True]."""
+    """Monte Carlo estimate of Pr[computation = True]: ``hits`` True
+    outcomes in ``trials`` runs, with a confidence interval."""
 
-    estimate: float
+    hits: int
     ci_low: float
     ci_high: float
     trials: int
 
     @property
-    def hits(self) -> int:
-        return round(self.estimate * self.trials)
+    def estimate(self) -> float:
+        return self.hits / self.trials
 
     def contains(self, p: float | Fraction) -> bool:
         return self.ci_low <= float(p) <= self.ci_high
@@ -366,4 +367,4 @@ def estimate_pr_true(
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     hits = sum(1 for i in range(trials) if sample(comp, seed + i) is True)
     low, high = clopper_pearson(hits, trials, confidence)
-    return AdvantageEstimate(hits / trials, low, high, trials)
+    return AdvantageEstimate(hits, low, high, trials)

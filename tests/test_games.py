@@ -42,10 +42,9 @@ from drbglab.games import (
     iv_scale,
     main_theorem_check,
     run_all_lemmas,
-    small_prf,
     _play,
 )
-from drbglab.prf import Block
+from drbglab.prf import Block, prf_small
 from drbglab.prob import (
     EnumerationCapExceeded,
     Return,
@@ -70,7 +69,7 @@ class TestBuilders:
         blocks, last = gen_loop(p, k, v, 3)
         cur = v
         for b in blocks:
-            cur = p.prf(k, cur.bits())
+            cur = p.prf(k, cur)
             assert b == cur
         assert last == blocks[-1]
 
@@ -89,8 +88,8 @@ class TestBuilders:
         blocks, st2 = comp.value
         expect, v_last = gen_loop(p, st.k, st.v, 2)
         assert blocks == expect
-        assert st2.k == p.prf(st.k, v_last.bits() + (0,) * 8)
-        assert st2.v == p.prf(st2.k, v_last.bits())
+        assert st2.k == p.prf(st.k, Block(12, v_last.value << 8))
+        assert st2.v == p.prf(st2.k, v_last)
 
     def test_nov_and_v_variants_commute_the_v_update(self):
         # running the trailing v update of call 1 at the head of call 2
@@ -108,8 +107,8 @@ class TestBuilders:
         p = params(eta=4)
         st = KV(Block(4, 9), Block(4, 3))
         blocks, st2 = generate_v(p, st, 1).value
-        v1 = p.prf(st.k, st.v.bits())
-        assert blocks == [p.prf(st.k, v1.bits())]
+        v1 = p.prf(st.k, st.v)
+        assert blocks == [p.prf(st.k, v1)]
         assert st2.v == blocks[-1]
 
     def test_intermediate_keeps_key_and_chains_last_block(self):
@@ -148,12 +147,14 @@ class TestBuilders:
             with pytest.raises(ValueError):
                 HybridParams(*bad)
 
-    def test_small_prf_is_keyed_and_total(self):
-        f = small_prf(3)
-        outs = {f(Block(3, k), (1, 0, 1)).value for k in range(8)}
+    def test_default_prf_is_keyed_and_total(self):
+        f = params(eta=3).prf
+        assert f is prf_small
+        x = Block(3, 0b101)
+        outs = {f(Block(3, k), x).value for k in range(8)}
         assert all(0 <= o < 8 for o in outs)
         assert len(outs) > 1
-        assert f(Block(3, 2), (1, 0, 1)) == f(Block(3, 2), (1, 0, 1))
+        assert f(Block(3, 2), x) == f(Block(3, 2), x)
 
 
 class TestAdversaries:
@@ -267,7 +268,7 @@ class TestLemmas:
     def test_lemmas_hold_for_degenerate_prf(self):
         # the equalities are program identities: they cannot depend on
         # the function the generator is instantiated with
-        broken = lambda key, bits: Block(2, 0)
+        broken = lambda key, x: Block(2, 0)
         p = params(2, 2, 2, prf=broken)
         for lemma in EQUALITY_LEMMAS:
             assert all(c.passed for c in check_lemma(p, lemma))
@@ -439,6 +440,19 @@ class TestCalibrationCorpus:
             game, eta, nc, bpc, adversary, _, i = spec
             p = HybridParams(eta, nc, bpc, adversary=adversary)
             assert GameEvaluator(p).pr(game, i).mid == exact, name
+
+    # the 20 exact values in CALIBRATION_SPECS order: enumeration and the
+    # factored evaluator share prf_small, so only literals catch a drift
+    # in its input encoding
+    EXACT = [
+        F(1), F(31, 32), F(5, 8), F(1), F(29, 32),
+        F(151, 256), F(1, 2), F(1), F(63, 64), F(29, 32),
+        F(297, 512), F(1), F(63, 64), F(43, 64), F(11, 64),
+        F(253, 256), F(61, 64), F(63, 64), F(1, 4), F(1, 2),
+    ]
+
+    def test_exact_values_are_pinned(self, calibration):
+        assert [exact for _, _, exact in calibration] == self.EXACT
 
 
 class TestSeededHitCounts:

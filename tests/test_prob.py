@@ -310,6 +310,7 @@ class TestClopperPearson:
 
 
 def test_advantage_estimate_contains():
-    est = AdvantageEstimate(0.5, 0.4, 0.6, 100)
+    est = AdvantageEstimate(50, 0.4, 0.6, 100)
+    assert est.hits == 50 and est.estimate == 0.5
     assert est.contains(0.5) and est.contains(F(2, 5))
     assert not est.contains(0.39)
