@@ -70,8 +70,9 @@ print(f"\nadvantage {theorem.lhs} <= num_calls * (prf_gap {theorem.prf_gap} "
       f"+ collisions {theorem.collisions}) = {theorem.rhs}: "
       f"{'holds' if theorem.check.passed else 'VIOLATED'}")
 
-# Widen the blocks to 16 bits and exact enumeration is out of reach;
-# the evaluator falls back to Monte Carlo with confidence intervals.
+# Widen the blocks to 16 bits and the factored evaluator no longer
+# admits the adversary; it falls back to Monte Carlo with confidence
+# intervals.
 wide = HybridParams(eta=16, num_calls=2, blocks_per_call=2)
 wide_ev = GameEvaluator(wide, trials=20_000, seed=7)
 check = check_lemma(wide, "G_real_is_first_hybrid", evaluator=wide_ev)[0]

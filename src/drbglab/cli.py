@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--adversary", default="collision",
                       choices=sorted(_ADVERSARIES), help="distinguisher to fold in")
     game.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                      help="Monte Carlo trials when enumeration is infeasible")
+                      help="Monte Carlo trials when the factored evaluator does not "
+                           "admit the adversary")
     game.add_argument("--seed", type=int, default=DEFAULT_SEED,
                       help="Monte Carlo seed")
     game.set_defaults(run=cmd_game)

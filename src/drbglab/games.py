@@ -9,31 +9,25 @@ function and then for a random-bits oracle, with a "bad event"
 every one of those games as a finite probabilistic computation
 (:mod:`.prob`) over ``eta``-bit blocks and checks the bridging lemmas as
 *exact rational* distribution equalities at small ``eta``, falling back
-to Monte Carlo estimation when enumeration is infeasible.
+to Monte Carlo estimation when exact evaluation is infeasible.
 
 Every game has one shape, written once as a play loop: draw the initial
 state, serve each generate call of the run, and hand every output block
 to the adversary. The games differ only in how each call is served.
 
-Two exact paths compute game probabilities:
+The game's computation tree is the specification, and
+:func:`~drbglab.prob.exact_dist` enumerates it as the reference. The one
+exact path, the factored evaluator, writes each game once as a list of
+steps (draw an eta-bit block, run one deterministic generate call,
+answer one oracle query) and propagates them forward over merged integer
+states (adversary fold, k, v, bad, oracle state). k and v are drawn
+lazily at their first read, so unused samples marginalize out, and every
+mass is a Python int over an implicit ``2^bits`` denominator until the
+game ends. Tests pin it to the reference on every game family.
 
-- the faithful path runs :func:`~drbglab.prob.exact_dist` directly on
-  the game's computation tree, which is the specification, and
-- the factored evaluator writes each game once as a list of steps (draw
-  an eta-bit block, run one deterministic generate call, answer one
-  oracle query) and propagates them forward over merged integer states
-  (adversary fold, k, v, bad, oracle state). k and v are drawn lazily at
-  their first read, so unused samples marginalize out, and every mass is
-  a Python int over an implicit ``2^bits`` denominator until the game
-  ends.
-
-Tests pin the two paths equal on every game family. The evaluator reads
-every probability off one exact ``(answer, bad)`` joint per game: the
-factored one when the adversary supports incremental folding and its
-state-space estimate fits a budget, otherwise the enumeration of the
-faithful tree under a cap on random bits per path. An oracle game is
-enumerated once, as its ``(answer, bad)`` tree. Past the cap, Monte
-Carlo estimation takes over.
+The evaluator reads every probability off one exact ``(answer, bad)``
+joint per game when the adversary's fold state bound fits a budget, and
+estimates it by Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from .prob import (
     MIN_TRIALS,
     AdvantageEstimate,
     Comp,
-    EnumerationCapExceeded,
     Oracle,
     Return,
     bind,
@@ -72,10 +65,10 @@ class KV(NamedTuple):
 # --------------------------------------------------------------- adversaries
 #
 # An adversary is a callable from the full output (list of per-call lists
-# of Blocks) to a Comp of bool. The built-in adversaries additionally
-# implement an incremental fold protocol (initial/absorb/finish_pr/
-# state_bound) that the factored evaluator uses to keep distributions
-# over adversary states small.
+# of Blocks) to a Comp of bool. The factored evaluator folds it block by
+# block through a protocol (initial/absorb/finish_pr/state_bound). The
+# built-in adversaries fold into a few states; HybridParams wraps any
+# other callable in a _TranscriptFold.
 
 
 @dataclass(frozen=True)
@@ -171,11 +164,37 @@ def constant(result: bool) -> ConstantAdversary:
 first_bit = FirstBitAdversary()
 collision_detector = CollisionAdversary()
 
+_FOLD_PROTOCOL = ("initial", "absorb", "finish_pr", "state_bound")
 
-def _has_fold_protocol(adv: Any) -> bool:
-    return all(
-        hasattr(adv, name) for name in ("initial", "absorb", "finish_pr", "state_bound")
-    )
+
+@dataclass(frozen=True)
+class _TranscriptFold:
+    """The fold of a plain callable adversary: its state is the tuple of
+    absorbed block values. finish_pr regroups them into per-call Blocks
+    and enumerates the adversary's own coins with ``exact_dist``, so a
+    path may use at most that function's default 24 random bits. Calling
+    the fold calls the adversary, so the faithful trees are unchanged."""
+
+    adversary: Callable[[list[list[Block]]], Comp]
+    eta: int
+    blocks_per_call: int
+
+    def __call__(self, outputs: list[list[Block]]) -> Comp:
+        return self.adversary(outputs)
+
+    def initial(self) -> Any:
+        return ()
+
+    def absorb(self, state: Any, value: int, eta: int) -> Any:
+        return state + (value,)
+
+    def finish_pr(self, state: Any) -> Fraction:
+        n = self.blocks_per_call
+        outputs = [[Block(self.eta, x) for x in state[c : c + n]] for c in range(0, len(state), n)]
+        return exact_dist(self.adversary(outputs)).pr_true
+
+    def state_bound(self, eta: int, total_blocks: int) -> int:
+        return 1 << (eta * total_blocks)  # every full transcript
 
 
 # ----------------------------------------------------------------- parameters
@@ -186,8 +205,9 @@ class HybridParams:
 
     eta: block width in bits; num_calls: generate calls in a run;
     blocks_per_call: blocks per generate call; prf: (Block, Block) ->
-    Block, key then input, defaulting to ``prf_small``; adversary:
-    callable from full output to Comp of bool.
+    Block, key then input, defaulting to ``prf_small``; adversary: any
+    callable from full output to Comp of bool, wrapped in a
+    ``_TranscriptFold`` unless it has the fold protocol.
     """
 
     def __init__(
@@ -206,7 +226,10 @@ class HybridParams:
         self.num_calls = num_calls
         self.blocks_per_call = blocks_per_call
         self.prf = prf if prf is not None else prf_small
-        self.adversary = adversary if adversary is not None else collision_detector
+        adversary = adversary if adversary is not None else collision_detector
+        if not all(hasattr(adversary, name) for name in _FOLD_PROTOCOL):
+            adversary = _TranscriptFold(adversary, eta, blocks_per_call)
+        self.adversary = adversary
         self._prf_memo: dict[tuple[int, str, int], int] = {}
 
     def block(self, value: int) -> Block:
@@ -352,6 +375,8 @@ def g1_prg(p: HybridParams) -> Comp:
 def gi_prg(p: HybridParams, i: int) -> Comp:
     """Hybrid game i: first i calls ideal, the rest PRF-driven (the first
     PRF call skips the initial v update)."""
+    if not 0 <= i <= p.num_calls:
+        raise ValueError(f"i must be in 0..{p.num_calls}, got {i}")
 
     def step(call: int, kv: KV, n: int) -> Comp:
         if call < i:
@@ -518,8 +543,8 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
         i = nc
     elif game not in ("gi_prg", "gi_prf", "gi_rf", "gi_rb"):
         raise ValueError(f"unknown game {game!r}")
-    elif i is None or i < 0:
-        raise ValueError(f"game {game!r} needs a hybrid index i >= 0, got {i}")
+    elif i is None or not 0 <= i <= nc - (game in _BAD_TREES):
+        raise ValueError(f"i must be in 0..{nc - (game in _BAD_TREES)} for {game!r}, got {i}")
     shapes = ["ideal" if c < i else "nov" if c == 0 else "v" for c in range(nc)]
     if game in ("gi_prf", "gi_rf", "gi_rb") and i < nc:
         shapes[i] = game[3:]
@@ -596,8 +621,9 @@ def _merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     return out
 
 
-def _propagate(p: HybridParams, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction]:
-    """Exact joint distribution of (adversary answer, bad) in a game."""
+def _propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fraction]:
+    """Exact joint distribution of (adversary answer, bad) in the game
+    whose generate calls have these shapes."""
     adv, space = p.adversary, range(1 << p.eta)
     dist = {(adv.initial(), None, None, False, ()): 1}
     bits = 0
@@ -605,7 +631,7 @@ def _propagate(p: HybridParams, game: str, i: int | None) -> dict[tuple[bool, bo
     def draw(dist: dict[tuple, int], fn: Callable[[tuple, int], tuple]) -> dict[tuple, int]:
         return _merge((fn(st, x), mass) for st, mass in dist.items() for x in space)
 
-    for step in _steps(p, _call_shapes(p, game, i)):
+    for step in _steps(p, shapes):
         for s in step.reads:
             if any(st[s] is None for st in dist):
                 dist = draw(
@@ -714,7 +740,6 @@ def iv_leq(a: Iv, b: Iv) -> bool:
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0x5EED
-DEFAULT_NAIVE_BITS_CAP = 22
 DEFAULT_FAST_OPS_CAP = 2_000_000
 
 
@@ -723,17 +748,15 @@ class GameEvaluator:
 
     Every query reads one memoized exact ``(answer, bad)`` joint per game
     (``bad`` is False outside the oracle games). The factored evaluator
-    computes it whenever the adversary supports incremental folding and
-    ``state_bound * 2^(2*eta)`` fits ``DEFAULT_FAST_OPS_CAP``: every game
-    is one step list (draw an eta-bit block, run a deterministic generate
-    call, answer an oracle query) propagated forward over merged integer
+    computes it whenever the adversary's fold has ``state_bound *
+    2^(2*eta)`` within ``DEFAULT_FAST_OPS_CAP``: every game is one step
+    list (draw an eta-bit block, run a deterministic generate call,
+    answer an oracle query) propagated forward over merged integer
     states, with k and v drawn lazily at first read and masses kept as
-    ints over a ``2^bits`` denominator until the game ends. Otherwise the
-    faithful tree is enumerated with ``exact_dist`` under
-    ``DEFAULT_NAIVE_BITS_CAP`` random bits per path, an oracle game once
-    as its ``(answer, bad)`` tree. A tree that exceeds the cap falls back
-    to Monte Carlo with Clopper-Pearson intervals. Results are memoized
-    per evaluator, so a lemma suite shares work across checks.
+    ints over a ``2^bits`` denominator until the game ends. Past the
+    budget, every value is a Monte Carlo estimate with Clopper-Pearson
+    intervals. Results are memoized per evaluator, so a lemma suite
+    shares work across checks.
     """
 
     def __init__(
@@ -747,37 +770,22 @@ class GameEvaluator:
         self._pr: dict[tuple, Iv] = {}
         self._joint: dict[tuple, dict[tuple[bool, bool], Fraction] | None] = {}
         self._cells: dict[tuple, dict[tuple[bool, bool], AdvantageEstimate]] = {}
-        adv = p.adversary
         self._factored = (
-            _has_fold_protocol(adv)
-            and adv.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
+            p.adversary.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
             <= DEFAULT_FAST_OPS_CAP
         )
         self.modes_used: set[str] = set()
 
     def _exact(self, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction] | None:
-        """The exact (answer, bad) joint of a game, or None past the
-        enumeration cap."""
+        """The exact (answer, bad) joint of a game, or None when the
+        factored evaluator does not admit the adversary."""
         key = (game, i)
-        if key in self._joint:
-            return self._joint[key]
-        oracle_tree = _BAD_TREES.get(game)
-        if oracle_tree and (i is None or not 0 <= i < self.p.num_calls):
-            raise ValueError(f"i must be in 0..{self.p.num_calls - 1}, got {i}")
-        if self._factored:
-            self.modes_used.add("factored")
-            joint = _propagate(self.p, game, i)
-        else:
-            comp = oracle_tree(self.p, i) if oracle_tree else build_game(self.p, game, i)
-            try:
-                dist = exact_dist(comp, DEFAULT_NAIVE_BITS_CAP)
-            except EnumerationCapExceeded:
-                joint = None
-            else:
-                self.modes_used.add("enumerated")
-                joint = {(v if oracle_tree else (v, False)): pr for v, pr in dist.items()}
-        self._joint[key] = joint
-        return joint
+        if key not in self._joint:
+            shapes = _call_shapes(self.p, game, i)
+            if self._factored:
+                self.modes_used.add("factored")
+            self._joint[key] = _propagate(self.p, shapes) if self._factored else None
+        return self._joint[key]
 
     def _estimates(self, game: str, i: int) -> dict[tuple[bool, bool], AdvantageEstimate]:
         """Monte Carlo estimates of the four (answer, bad) cells of an

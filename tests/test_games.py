@@ -329,15 +329,41 @@ class TestEvaluatorModes:
         assert ev.modes_used == {"factored"}
         assert ev.mode == "exact"
 
-    def test_enumeration_fallback_matches_factored(self):
-        # a plain callable has no fold protocol, so the faithful tree is
-        # enumerated; it finds collisions exactly as collision_detector
-        fast = GameEvaluator(params(2, 2, 2))
-        slow = GameEvaluator(params(2, 2, 2, adversary=lambda outs: collision_detector(outs)))
-        for game, j in (("g_real", None), ("gi_prg", 1), ("gi_rb", 1)):
-            assert slow.pr(game, j).mid == fast.pr(game, j).mid
-        assert slow.pr_bad("rb", 1).mid == fast.pr_bad("rb", 1).mid
-        assert slow.modes_used == {"enumerated"}
+    # two plain callables that no built-in fold stands in for: one reads
+    # the call grouping, one ORs a fair coin with an order test
+    PLAIN = (
+        lambda outs: Return(outs[-1][0] == outs[0][-1]),
+        lambda outs: mapc(
+            sample_bits(1), lambda coin: coin == 1 or outs[0][0].value < outs[-1][-1].value
+        ),
+    )
+
+    @pytest.mark.parametrize("eta,nc,bpc", [(2, 1, 2), (2, 2, 1), (1, 3, 2)])
+    def test_plain_adversary_folds_its_transcript(self, eta, nc, bpc):
+        # a plain callable folds its transcript on the factored path, and
+        # every value equals the enumeration of the faithful tree
+        for adv in self.PLAIN:
+            p = params(eta, nc, bpc, adversary=adv)
+            ev = GameEvaluator(p)
+            jobs = [("g_real", None), ("g1_prg", None), ("g_ideal", None)]
+            jobs += [(game, j) for game in ("gi_prg", "gi_prf") for j in range(nc + 1)]
+            for game, j in jobs:
+                assert ev.pr(game, j).mid == exact_dist(build_game(p, game, j)).pr_true, (game, j)
+            for j in range(nc):
+                for game, tree in (("gi_rb", gi_rb_bad), ("gi_rf", gi_rf_dups_bad)):
+                    assert ev._exact(game, j) == dict(exact_dist(tree(p, j)).items()), (game, j)
+            assert ev.modes_used == {"factored"}
+
+    @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 2), (3, 2, 1)])
+    def test_plain_adversary_prints_the_native_lines(self, eta, nc, bpc):
+        for native in (collision_detector, first_bit):
+            lines = []
+            for adv in (native, lambda outs: native(outs)):
+                p = params(eta, nc, bpc, adversary=adv)
+                ev = GameEvaluator(p)
+                checks = run_all_lemmas(p, evaluator=ev) + [main_theorem_check(p, ev).check]
+                lines.append([c.line() for c in checks])
+            assert lines[0] == lines[1]
 
     def test_monte_carlo_on_wide_blocks(self):
         p = HybridParams(16, 2, 2)
@@ -368,11 +394,20 @@ class TestEvaluatorModes:
         assert ev.pr("g_ideal") is ev.pr("g_ideal")
 
     def test_joint_index_validation(self):
-        ev = GameEvaluator(params(2, 2, 2))
-        with pytest.raises(ValueError):
-            ev.pr_bad("rb", 2)
-        with pytest.raises(ValueError):
-            ev.pr("gi_rf")  # no hybrid index
+        # one range check in every mode: i in 0..nc for gi_prg and gi_prf,
+        # 0..nc-1 for the oracle games, which need a call i to serve
+        for eta in (2, 16):  # factored, then Monte Carlo
+            p = params(eta, 2, 2)
+            ev = GameEvaluator(p)
+            for game, j in (("gi_prf", 7), ("gi_prg", 7), ("gi_prg", -1), ("gi_rf", 2)):
+                with pytest.raises(ValueError):
+                    ev.pr(game, j)
+            with pytest.raises(ValueError):
+                ev.pr_bad("rb", 2)
+            with pytest.raises(ValueError):
+                ev.pr("gi_rf")  # no hybrid index
+            with pytest.raises(ValueError):
+                games.gi_prg(p, 7)
 
 
 class TestIvAlgebra:
