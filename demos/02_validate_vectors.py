@@ -8,6 +8,7 @@ validation flow.
 Run:  python3 demos/02_validate_vectors.py
 """
 
+from dataclasses import replace
 from importlib import resources
 
 from drbglab import cavp
@@ -36,13 +37,8 @@ for line in cavp.report_lines(summary)[:3]:
 # A failing case reports WHERE the output diverged (first bad octet):
 group = next(g for g in cavp.parse(text).groups if g.mechanism == "SHA-256")
 case = group.cases[0]
-tampered = cavp.CavpCase(
-    count=case.count,
-    fields=[
-        (k, (v[:10] + bytes([v[10] ^ 1]) + v[11:]) if k == "ReturnedBits" else v)
-        for k, v in case.fields
-    ],
-)
+bits = case.returned_bits
+tampered = replace(case, returned_bits=bits[:10] + bytes([bits[10] ^ 1]) + bits[11:])
 result = cavp.run_case(group, tampered)
 print(f"\ntampered octet 10: passed={result.passed} divergence={result.divergence}")
 

@@ -3,12 +3,15 @@
 Grammar handled (the ``.rsp`` layout of the CAVP DRBG distribution):
 ``# comment`` lines, ``[Tag]`` / ``[Key = Value]`` bracket headers that
 open a parameter group, ``Key = hexvalue`` fields, and blank-line
-separated ``COUNT`` blocks. Every case runs through the DRBG with the
-standard response-file protocol: instantiate, optionally reseed, then
-two generate calls of ReturnedBitsLen/8 octets whose first output is
-discarded and whose second must equal ReturnedBits octet-for-octet.
-Prediction-resistance groups feed each call's EntropyInputPR through
-the auto-reseeding path.
+separated ``COUNT`` blocks. Each case field has the bit length its group
+declares and the count ``_FIELDS`` gives it; an unknown, repeated,
+missing or misplaced field is a parse error, and so is a
+PredictionResistance header other than True or False. Every case runs
+through the DRBG with the standard response-file protocol: instantiate,
+optionally reseed, then two generate calls of ReturnedBitsLen/8 octets
+whose first output is discarded and whose second must equal
+ReturnedBits octet-for-octet. In prediction-resistance groups each call
+reseeds from the case's next EntropyInputPR.
 """
 
 from __future__ import annotations
@@ -21,24 +24,18 @@ from .prf import from_hex, to_hex
 
 SUPPORTED_MECHANISM = "SHA-256"
 
-_LEN_KEYS = {
-    "EntropyInputLen",
-    "NonceLen",
-    "PersonalizationStringLen",
-    "AdditionalInputLen",
-    "ReturnedBitsLen",
-}
-
-# Which declared bit length constrains each case field.
-_FIELD_LEN_KEY = {
-    "EntropyInput": "EntropyInputLen",
-    "EntropyInputReseed": "EntropyInputLen",
-    "EntropyInputPR": "EntropyInputLen",
-    "Nonce": "NonceLen",
-    "PersonalizationString": "PersonalizationStringLen",
-    "AdditionalInput": "AdditionalInputLen",
-    "AdditionalInputReseed": "AdditionalInputLen",
-    "ReturnedBits": "ReturnedBitsLen",
+# Every case field in response-file order, which CavpCase's attributes follow:
+# its header length key and its values per case. EntropyInputPR is for
+# prediction-resistance groups only, the reseed pair for reseeding cases.
+_FIELDS = {
+    "EntropyInput": ("EntropyInputLen", 1),
+    "Nonce": ("NonceLen", 1),
+    "PersonalizationString": ("PersonalizationStringLen", 1),
+    "EntropyInputReseed": ("EntropyInputLen", 1),
+    "AdditionalInputReseed": ("AdditionalInputLen", 1),
+    "AdditionalInput": ("AdditionalInputLen", 2),
+    "EntropyInputPR": ("EntropyInputLen", 2),
+    "ReturnedBits": ("ReturnedBitsLen", 1),
 }
 
 
@@ -57,52 +54,19 @@ class UnsupportedMechanism(Exception):
 
 @dataclass(frozen=True)
 class CavpCase:
+    """One COUNT block, its fields in ``_FIELDS`` order. A case without a
+    reseed has None for both reseed fields, and entropy_inputs_pr is empty
+    outside prediction-resistance groups."""
+
     count: int
-    fields: tuple[tuple[str, bytes], ...]
-
-    def _all(self, name: str) -> list[bytes]:
-        return [v for (k, v) in self.fields if k == name]
-
-    def _one(self, name: str, default: bytes | None = None) -> bytes:
-        values = self._all(name)
-        if not values:
-            if default is None:
-                raise KeyError(f"case {self.count} has no {name} field")
-            return default
-        return values[0]
-
-    @property
-    def entropy_input(self) -> bytes:
-        return self._one("EntropyInput")
-
-    @property
-    def nonce(self) -> bytes:
-        return self._one("Nonce", b"")
-
-    @property
-    def personalization(self) -> bytes:
-        return self._one("PersonalizationString", b"")
-
-    @property
-    def additional_inputs(self) -> list[bytes]:
-        return self._all("AdditionalInput")
-
-    @property
-    def entropy_input_reseed(self) -> bytes | None:
-        values = self._all("EntropyInputReseed")
-        return values[0] if values else None
-
-    @property
-    def additional_input_reseed(self) -> bytes:
-        return self._one("AdditionalInputReseed", b"")
-
-    @property
-    def entropy_inputs_pr(self) -> list[bytes]:
-        return self._all("EntropyInputPR")
-
-    @property
-    def returned_bits(self) -> bytes:
-        return self._one("ReturnedBits")
+    entropy_input: bytes
+    nonce: bytes
+    personalization: bytes
+    entropy_input_reseed: bytes | None
+    additional_input_reseed: bytes | None
+    additional_inputs: tuple[bytes, ...]
+    entropy_inputs_pr: tuple[bytes, ...]
+    returned_bits: bytes
 
 
 @dataclass
@@ -129,88 +93,90 @@ class CavpFile:
 def _parse_header(content: str, lineno: int) -> tuple[str, str | None]:
     if "=" in content:
         key, _, value = content.partition("=")
-        return key.strip(), value.strip()
+        key, value = key.strip(), value.strip()
+        if key == "PredictionResistance" and value.lower() not in ("true", "false"):
+            raise CavpParseError(lineno, f"PredictionResistance {value!r} is not True or False")
+        return key, value
     tag = content.strip()
     if not tag:
         raise CavpParseError(lineno, "empty bracket header")
     return tag, None
 
 
-# How many of each field a case needs for run_case to run it.
-_CASE_SHAPE = (("EntropyInput", 1), ("ReturnedBits", 1), ("AdditionalInput", 2))
-_PR_CASE_SHAPE = _CASE_SHAPE + (("EntropyInputPR", 2),)
-
-
-def _shape_problem(group: CavpGroup, names: list[str]) -> str | None:
-    """What is wrong with the field counts of a case, or None."""
-    for name, want in _PR_CASE_SHAPE if group.prediction_resistance else _CASE_SHAPE:
-        got = names.count(name)
-        if got != want:
-            return f"{got} {name} values; want {want}"
-    return None
-
-
 def parse(text: str) -> CavpFile:
-    """Parse response-file text into groups of cases, validating lengths
-    and that each case has the fields ``run_case`` needs."""
+    """Parse response-file text into groups of cases, validating each
+    field's name, count and declared length."""
     groups: list[CavpGroup] = []
     header_run: list[tuple[str, str | None]] = []
     mechanism: str | None = None
     current_group: CavpGroup | None = None
-    case_fields: list[tuple[str, bytes]] | None = None
+    case_values: dict[str, list[bytes]] | None = None
     case_count = case_line = -1
+    field_bits: dict[str, int] = {}  # each field's declared bit length in the open group
 
     def close_case() -> None:
-        nonlocal case_fields
-        if case_fields is not None:
-            assert current_group is not None
-            problem = _shape_problem(current_group, [k for (k, _) in case_fields])
-            if problem:
-                raise CavpParseError(case_line, f"case {case_count} has {problem}")
-            current_group.cases.append(CavpCase(case_count, tuple(case_fields)))
-            case_fields = None
+        """Build the open case, checking how many values each field has."""
+        nonlocal case_values
+        if case_values is None:
+            return
+        assert current_group is not None
+        reseeds = 1 if "EntropyInputReseed" in case_values else 0
+        wants = {"EntropyInputReseed": reseeds, "AdditionalInputReseed": reseeds}
+        wants["EntropyInputPR"] = 2 if current_group.prediction_resistance else 0
+        record = []
+        for name, (_, per_case) in _FIELDS.items():
+            got = case_values.get(name, ())
+            want = wants.get(name, per_case)
+            if len(got) != want:
+                problem = f"case {case_count} has {len(got)} {name} values; want {want}"
+                raise CavpParseError(case_line, problem)
+            record.append(tuple(got) if per_case == 2 else got[0] if got else None)
+        current_group.cases.append(CavpCase(case_count, *record))
+        case_values = None
 
     def open_group(lineno: int) -> None:
-        nonlocal current_group, header_run, mechanism
+        nonlocal current_group, header_run, mechanism, field_bits
         tags = [k for (k, v) in header_run if v is None]
         if tags:
             mechanism = tags[0]
         if mechanism is None:
             raise CavpParseError(lineno, "group header has no mechanism tag")
+        len_keys = {len_key for len_key, _ in _FIELDS.values()}
         lengths: dict[str, int] = {}
         pr = False
         for key, value in header_run:
             if value is None:
                 continue
-            if key in _LEN_KEYS:
+            if key in len_keys:
                 try:
                     lengths[key] = int(value)
                 except ValueError:
                     raise CavpParseError(lineno, f"non-integer length {key} = {value!r}")
             elif key == "PredictionResistance":
                 pr = value.lower() == "true"
-        missing = _LEN_KEYS - lengths.keys()
+        missing = len_keys - lengths.keys()
         if missing:
             raise CavpParseError(
                 lineno, f"group header missing lengths: {', '.join(sorted(missing))}"
             )
         current_group = CavpGroup(mechanism, tuple(header_run), pr, lengths)
+        field_bits = {name: lengths[len_key] for name, (len_key, _) in _FIELDS.items()}
         groups.append(current_group)
         header_run = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise CavpParseError(lineno, f"unterminated bracket header {line!r}")
             close_case()
             header_run.append(_parse_header(line[1:-1], lineno))
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise CavpParseError(lineno, f"malformed line {line!r}")
-        key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if header_run:
@@ -224,30 +190,30 @@ def parse(text: str) -> CavpFile:
             except ValueError:
                 raise CavpParseError(lineno, f"non-integer COUNT {value!r}")
             expected = len(current_group.cases)
-            if any(c.count == count for c in current_group.cases):
+            if 0 <= count < expected:  # the group's counts so far are 0..expected-1
                 raise CavpParseError(lineno, f"duplicate COUNT {count}")
             if count != expected:
                 raise CavpParseError(
                     lineno, f"non-consecutive COUNT {count} (expected {expected})"
                 )
             case_count, case_line = count, lineno
-            case_fields = []
+            case_values = {}
             continue
-        if case_fields is None:
+        if case_values is None:
             raise CavpParseError(lineno, f"field {key!r} outside a COUNT block")
+        declared = field_bits.get(key)
+        if declared is None:
+            raise CavpParseError(lineno, f"unknown field {key!r}")
         try:
             octets = from_hex(value) if value else b""
         except ValueError as exc:
             raise CavpParseError(lineno, str(exc))
-        len_key = _FIELD_LEN_KEY.get(key)
-        if len_key is not None:
-            declared = current_group.lengths[len_key]
-            if len(octets) * 8 != declared:
-                raise CavpParseError(
-                    lineno,
-                    f"{key} is {len(octets) * 8} bits but {len_key} = {declared}",
-                )
-        case_fields.append((key, octets))
+        if len(octets) * 8 != declared:
+            raise CavpParseError(
+                lineno,
+                f"{key} is {len(octets) * 8} bits but {_FIELDS[key][0]} = {declared}",
+            )
+        case_values.setdefault(key, []).append(octets)
     close_case()
     if header_run:
         # trailing headers with no cases still declare a (possibly empty) group
@@ -275,9 +241,20 @@ def serialize(file: CavpFile) -> str:
             lines.append(f"[{key}]" if value is None else f"[{key} = {value}]")
         lines.append("")
         for case in group.cases:
+            fields = [
+                ("EntropyInput", case.entropy_input),
+                ("Nonce", case.nonce),
+                ("PersonalizationString", case.personalization),
+            ]
+            if case.entropy_input_reseed is not None:
+                fields.append(("EntropyInputReseed", case.entropy_input_reseed))
+                fields.append(("AdditionalInputReseed", case.additional_input_reseed))
+            for call, add in enumerate(case.additional_inputs):
+                fields.append(("AdditionalInput", add))
+                fields += [("EntropyInputPR", e) for e in case.entropy_inputs_pr[call : call + 1]]
+            fields.append(("ReturnedBits", case.returned_bits))
             lines.append(f"COUNT = {case.count}")
-            for name, octets in case.fields:
-                lines.append(f"{name} = {to_hex(octets)}")
+            lines += [f"{name} = {to_hex(octets)}" for name, octets in fields]
             lines.append("")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -313,24 +290,25 @@ def run_case(group: CavpGroup, case: CavpCase) -> CaseResult:
     )
     if case.entropy_input_reseed is not None:
         state = drbg.reseed(state, case.entropy_input_reseed, case.additional_input_reseed)
-    adds, pr_entropy = case.additional_inputs, case.entropy_inputs_pr
+    # only a prediction-resistance state draws, one EntropyInputPR per call
+    stream = DeterministicStream(b"".join(case.entropy_inputs_pr))
     out = b""
-    for call in range(2):
-        req = drbg.GenerateRequest(out_len, adds[call])
-        if group.prediction_resistance:
-            stream = DeterministicStream(pr_entropy[call])
-            out, _, state = drbg.generate_with_entropy(stream, state, req)
-        else:
-            out, state = drbg.generate(state, req)
+    for add in case.additional_inputs:
+        out, stream, state = drbg.generate_with_entropy(
+            stream, state, drbg.GenerateRequest(out_len, add)
+        )
     return CaseResult(case.count, out == case.returned_bits, case.returned_bits, out)
 
 
 @dataclass
 class GroupResult:
     group: CavpGroup
-    skipped: bool
     skip_reason: str | None
     results: list[CaseResult]
+
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
 
     @property
     def passed(self) -> int:
@@ -366,16 +344,13 @@ def run_file(file: CavpFile, mechanism: str | None = None) -> Summary:
     """
     out: list[GroupResult] = []
     for group in file.groups:
+        reason = None
         if mechanism is not None and group.mechanism != mechanism:
-            out.append(GroupResult(group, True, f"filtered (mechanism {group.mechanism})", []))
-            continue
-        if group.mechanism != SUPPORTED_MECHANISM:
-            out.append(
-                GroupResult(group, True, f"unsupported mechanism {group.mechanism}", [])
-            )
-            continue
-        results = [run_case(group, case) for case in group.cases]
-        out.append(GroupResult(group, False, None, results))
+            reason = f"filtered (mechanism {group.mechanism})"
+        elif group.mechanism != SUPPORTED_MECHANISM:
+            reason = f"unsupported mechanism {group.mechanism}"
+        results = [] if reason else [run_case(group, case) for case in group.cases]
+        out.append(GroupResult(group, reason, results))
     return Summary(out)
 
 

@@ -579,24 +579,25 @@ def _steps(p: HybridParams, shapes: list[str]) -> list[_Step]:
         the trace sets bad. The rekey query's input carries the zero-octet
         pad, so it never repeats a chain input and every oracle answers it
         afresh; its answer is the new key, and the trace is dropped. In
-        prf mode the k slot holds the oracle's own key until the rekey."""
+        prf mode the k slot holds the oracle's own key until the rekey,
+        and no trace is kept: the bad event belongs to rf and rb only."""
 
         def fn(st: tuple, x: int = 0) -> tuple:
             adv, k, v, bad, orc = st
             if kind == "r":
                 return adv, f(k, "r", v) if mode == "prf" else x, v, bad, ()
-            past = [ans for inp, ans in orc if inp == v]
             if mode == "prf":
                 ans = f(k, "c", v)
-            elif past and mode == "rf":
-                ans = past[0]
             else:
-                ans = x
+                past = [ans for inp, ans in orc if inp == v]
+                ans = past[0] if past and mode == "rf" else x
+                if past:
+                    bad = True
+                else:
+                    orc = tuple(sorted(orc + ((v, ans if mode == "rf" else None),)))
             if visible:
                 adv = absorb(adv, ans, eta)
-            if not past:
-                orc = tuple(sorted(orc + ((v, ans if mode == "rf" else None),)))
-            return adv, k, ans, bad or bool(past), orc
+            return adv, k, ans, bad, orc
 
         return _Step((_K, _V) if mode == "prf" else (_V,), mode != "prf", fn)
 
@@ -774,7 +775,6 @@ class GameEvaluator:
             p.adversary.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
             <= DEFAULT_FAST_OPS_CAP
         )
-        self.modes_used: set[str] = set()
 
     def _exact(self, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction] | None:
         """The exact (answer, bad) joint of a game, or None when the
@@ -782,8 +782,6 @@ class GameEvaluator:
         key = (game, i)
         if key not in self._joint:
             shapes = _call_shapes(self.p, game, i)
-            if self._factored:
-                self.modes_used.add("factored")
             self._joint[key] = _propagate(self.p, shapes) if self._factored else None
         return self._joint[key]
 
@@ -792,7 +790,6 @@ class GameEvaluator:
         oracle game, each replaying the same seeded trials."""
         key = (game, i)
         if key not in self._cells:
-            self.modes_used.add("monte-carlo")
             comp = _BAD_TREES[game](self.p, i)
             self._cells[key] = {
                 o: estimate_pr_true(mapc(comp, lambda x, _o=o: x == _o), self.trials, self.seed)
@@ -807,7 +804,6 @@ class GameEvaluator:
         if key not in self._pr:
             joint = self._exact(game, i)
             if joint is None:
-                self.modes_used.add("monte-carlo")
                 comp = build_game(self.p, game, i)
                 value = Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
             else:
@@ -817,8 +813,15 @@ class GameEvaluator:
 
     # -- the bad event and the joint (answer, no-bad) masses
 
+    @staticmethod
+    def _oracle_game(oracle: str) -> str:
+        """The oracle game of rf or rb, the two oracles with a bad event."""
+        if oracle not in ("rf", "rb"):
+            raise ValueError(f"oracle must be 'rf' or 'rb', got {oracle!r}")
+        return f"gi_{oracle}"
+
     def pr_bad(self, oracle: str, i: int) -> Iv:
-        game = f"gi_{oracle}"
+        game = self._oracle_game(oracle)
         joint = self._exact(game, i)
         if joint is not None:
             return Iv.of_fraction(sum((pr for (_, bad), pr in joint.items() if bad), Fraction(0)))
@@ -831,7 +834,7 @@ class GameEvaluator:
         return Iv(low, hits / trials, high, False)
 
     def pr_joint_no_bad(self, oracle: str, i: int, answer: bool) -> Iv:
-        game = f"gi_{oracle}"
+        game = self._oracle_game(oracle)
         joint = self._exact(game, i)
         if joint is not None:
             return Iv.of_fraction(joint.get((answer, False), Fraction(0)))
@@ -839,9 +842,7 @@ class GameEvaluator:
 
     @property
     def mode(self) -> str:
-        if "monte-carlo" in self.modes_used:
-            return "monte-carlo"
-        return "exact"
+        return "exact" if self._factored else "monte-carlo"
 
 
 # ------------------------------------------------------------- lemma checks

@@ -91,7 +91,7 @@ class TestParse:
         assert case.entropy_input == bytes(range(32))
         assert case.nonce == bytes(range(100, 116))
         assert case.personalization == b""
-        assert case.additional_inputs == [b"", b""]
+        assert case.additional_inputs == (b"", b"")
         assert len(case.returned_bits) == 128
 
     @pytest.mark.parametrize("name", sorted(VECTOR_FILES))
@@ -166,6 +166,41 @@ class TestParseErrors:
 
     def test_malformed_line(self):
         self.expect(lambda t: t + "garbage\n", "malformed line")
+
+    def test_unknown_field_at_its_line(self):
+        self.expect(lambda t: t.replace("Nonce =", "Nonse ="), "line 12: unknown field 'Nonse'")
+
+    def test_repeated_field_at_count_line(self):
+        nonce = f"Nonce = {bytes(range(100, 116)).hex()}\n"
+        self.expect(
+            lambda t: t.replace(nonce, nonce * 2), "line 10: case 0 has 2 Nonce values; want 1"
+        )
+
+    def test_missing_field_at_count_line(self):
+        self.expect(
+            lambda t: t.replace("PersonalizationString = \n", ""),
+            "line 10: case 0 has 0 PersonalizationString values; want 1",
+        )
+
+    def test_entropy_input_pr_only_with_prediction_resistance(self):
+        self.expect(
+            lambda t: t + "EntropyInputPR = " + "00" * 32 + "\n",
+            "line 10: case 0 has 1 EntropyInputPR values; want 0",
+        )
+
+    def test_additional_input_reseed_needs_entropy_input_reseed(self):
+        self.expect(
+            lambda t: t + "AdditionalInputReseed = \n",
+            "line 10: case 0 has 1 AdditionalInputReseed values; want 0",
+        )
+
+    def test_prediction_resistance_is_true_or_false(self):
+        self.expect(
+            lambda t: t.replace("= False]", "= Ture]"),
+            "line 3: PredictionResistance 'Ture' is not True or False",
+        )
+        text = _synthetic_file().replace("= False]", "= FALSE]")
+        assert cavp.parse(text).groups[0].prediction_resistance is False
 
     def test_line_numbers_are_exact(self):
         # the flipped nonce sits on line 12 of the synthetic file

@@ -339,10 +339,21 @@ def first_sha256(name: str, field: str) -> int:
     return next(i for i in range(start, len(lines)) if lines[i].startswith(field.encode()))
 
 
+def with_first(name: str, field: str, edit) -> bytes:
+    """A bundled file whose first ``field`` line of its SHA-256 groups
+    becomes ``edit(line)``."""
+    lines, at = RSP_LINES[name], first_sha256(name, field)
+    return b"".join(lines[:at] + [edit(lines[at])] + lines[at + 1:])
+
+
 def without_first(name: str, field: str) -> bytes:
     """A bundled file minus the first ``field`` line of its SHA-256 groups."""
-    lines, drop = RSP_LINES[name], first_sha256(name, field)
-    return b"".join(lines[:drop] + lines[drop + 1:])
+    return with_first(name, field, lambda line: b"")
+
+
+def line_of(name: str, field: str) -> int:
+    """The line number of the first ``field`` line of a bundled file's SHA-256 groups."""
+    return first_sha256(name, field) + 1
 
 
 def count_line(name: str, field: str) -> int:
@@ -372,6 +383,28 @@ PROBES = {
     "no-returned-bits": (lambda tmp: [
         "cavp", written(tmp / "r.rsp", without_first(BUNDLED[1], "ReturnedBits ="))],
         f"r.rsp: line {count_line(BUNDLED[1], 'ReturnedBits =')}: case 0 has 0 ReturnedBits"),
+    "second-nonce": (lambda tmp: [
+        "cavp", written(tmp / "n.rsp", with_first(BUNDLED[0], "Nonce =", lambda l: l + l))],
+        f"n.rsp: line {count_line(BUNDLED[0], 'Nonce =')}: case 0 has 2 Nonce values; want 1"),
+    "misspelled-nonce": (lambda tmp: [
+        "cavp", written(tmp / "s.rsp", with_first(
+            BUNDLED[0], "Nonce =", lambda l: l.replace(b"Nonce", b"Nonse")))],
+        f"s.rsp: line {line_of(BUNDLED[0], 'Nonce =')}: unknown field 'Nonse'"),
+    "unknown-field": (lambda tmp: [
+        "cavp", written(tmp / "u.rsp", with_first(
+            BUNDLED[0], "Nonce =", lambda l: l + b"Bogus = 00\n"))],
+        f"u.rsp: line {line_of(BUNDLED[0], 'Nonce =') + 1}: unknown field 'Bogus'"),
+    "entropy-input-pr-without-pr": (lambda tmp: [
+        "cavp", written(tmp / "p.rsp", with_first(
+            BUNDLED[0], "EntropyInput =",
+            lambda l: l + l.replace(b"EntropyInput", b"EntropyInputPR")))],
+        f"p.rsp: line {count_line(BUNDLED[0], 'EntropyInput =')}: "
+        "case 0 has 1 EntropyInputPR values; want 0"),
+    "prediction-resistance-typo": (lambda tmp: [
+        "cavp", written(tmp / "t.rsp", with_first(
+            BUNDLED[2], "[PredictionResistance", lambda l: l.replace(b"True", b"Ture")))],
+        f"t.rsp: line {line_of(BUNDLED[2], '[PredictionResistance')}: "
+        "PredictionResistance 'Ture' is not True or False"),
     "no-case-ran": (lambda tmp: [
         "cavp", vector_path(BUNDLED[0]), "--mechanism", "sha-256"],
         "mechanism sha-256; the file's mechanisms are SHA-1, SHA-224, SHA-256, SHA-384, SHA-512"),

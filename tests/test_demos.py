@@ -1,4 +1,5 @@
-"""Every demo runs to completion, cleanly, in a fresh interpreter."""
+"""Every demo runs to completion, cleanly, in a fresh interpreter, and
+prints exactly its recorded output (every demo is deterministic)."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import drbglab
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_every_demo_is_collected():
@@ -20,9 +22,7 @@ def test_every_demo_is_collected():
 def test_demo_runs(demo):
     paths = [str(Path(drbglab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert proc.stdout
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()

@@ -209,7 +209,7 @@ class TestFastAgainstEnumeration:
             got = ev.pr(game, j)
             assert got.exact
             assert got.mid == want, (game, j)
-        assert ev.modes_used == {"factored"}  # the factored path must engage here
+        assert ev.mode == "exact"  # the factored path must engage here
 
     @pytest.mark.parametrize("eta,nc,bpc", GRID)
     def test_joint_bad_distributions_match(self, eta, nc, bpc):
@@ -228,7 +228,7 @@ class TestFastAgainstEnumeration:
                     for answer in (True, False):
                         no_bad = ev.pr_joint_no_bad(oracle, j, answer).mid
                         assert no_bad == want.pr((answer, False))
-            assert ev.modes_used == {"factored"}
+            assert ev.mode == "exact"
 
 
 class TestBadEvent:
@@ -326,7 +326,6 @@ class TestEvaluatorModes:
     def test_factored_on_small_eta(self):
         ev = GameEvaluator(params(2, 2, 2))
         ev.pr("g_real")
-        assert ev.modes_used == {"factored"}
         assert ev.mode == "exact"
 
     # two plain callables that no built-in fold stands in for: one reads
@@ -352,7 +351,7 @@ class TestEvaluatorModes:
             for j in range(nc):
                 for game, tree in (("gi_rb", gi_rb_bad), ("gi_rf", gi_rf_dups_bad)):
                     assert ev._exact(game, j) == dict(exact_dist(tree(p, j)).items()), (game, j)
-            assert ev.modes_used == {"factored"}
+            assert ev.mode == "exact"
 
     @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 2), (3, 2, 1)])
     def test_plain_adversary_prints_the_native_lines(self, eta, nc, bpc):
@@ -404,6 +403,12 @@ class TestEvaluatorModes:
                     ev.pr(game, j)
             with pytest.raises(ValueError):
                 ev.pr_bad("rb", 2)
+            # the bad event belongs to the rf and rb oracles only
+            for oracle in ("prf", "prg", "gi_rb"):
+                with pytest.raises(ValueError):
+                    ev.pr_bad(oracle, 0)
+                with pytest.raises(ValueError):
+                    ev.pr_joint_no_bad(oracle, 0, True)
             with pytest.raises(ValueError):
                 ev.pr("gi_rf")  # no hybrid index
             with pytest.raises(ValueError):
