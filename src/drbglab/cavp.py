@@ -107,7 +107,7 @@ def parse(text: str) -> CavpFile:
     """Parse response-file text into groups of cases, validating each
     field's name, count and declared length."""
     groups: list[CavpGroup] = []
-    header_run: list[tuple[str, str | None]] = []
+    header_run: list[tuple[int, tuple[str, str | None]]] = []  # (line, (key, value))
     mechanism: str | None = None
     current_group: CavpGroup | None = None
     case_values: dict[str, list[bytes]] | None = None
@@ -134,17 +134,20 @@ def parse(text: str) -> CavpFile:
         current_group.cases.append(CavpCase(case_count, *record))
         case_values = None
 
-    def open_group(lineno: int) -> None:
+    def open_group() -> None:
+        """Open a group from the header run; an error about the run as a
+        whole names its first line, one about a header names that header's."""
         nonlocal current_group, header_run, mechanism, field_bits
-        tags = [k for (k, v) in header_run if v is None]
+        first_line = header_run[0][0]
+        tags = [k for (_, (k, v)) in header_run if v is None]
         if tags:
             mechanism = tags[0]
         if mechanism is None:
-            raise CavpParseError(lineno, "group header has no mechanism tag")
+            raise CavpParseError(first_line, "group header has no mechanism tag")
         len_keys = {len_key for len_key, _ in _FIELDS.values()}
         lengths: dict[str, int] = {}
         pr = False
-        for key, value in header_run:
+        for lineno, (key, value) in header_run:
             if value is None:
                 continue
             if key in len_keys:
@@ -157,9 +160,10 @@ def parse(text: str) -> CavpFile:
         missing = len_keys - lengths.keys()
         if missing:
             raise CavpParseError(
-                lineno, f"group header missing lengths: {', '.join(sorted(missing))}"
+                first_line, f"group header missing lengths: {', '.join(sorted(missing))}"
             )
-        current_group = CavpGroup(mechanism, tuple(header_run), pr, lengths)
+        headers = tuple([header for _, header in header_run])
+        current_group = CavpGroup(mechanism, headers, pr, lengths)
         field_bits = {name: lengths[len_key] for name, (len_key, _) in _FIELDS.items()}
         groups.append(current_group)
         header_run = []
@@ -172,7 +176,7 @@ def parse(text: str) -> CavpFile:
             if not line.endswith("]"):
                 raise CavpParseError(lineno, f"unterminated bracket header {line!r}")
             close_case()
-            header_run.append(_parse_header(line[1:-1], lineno))
+            header_run.append((lineno, _parse_header(line[1:-1], lineno)))
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -180,7 +184,7 @@ def parse(text: str) -> CavpFile:
         key = key.strip()
         value = value.strip()
         if header_run:
-            open_group(lineno)
+            open_group()
         if key == "COUNT":
             if current_group is None:
                 raise CavpParseError(lineno, "COUNT before any group header")
@@ -217,7 +221,7 @@ def parse(text: str) -> CavpFile:
     close_case()
     if header_run:
         # trailing headers with no cases still declare a (possibly empty) group
-        open_group(len(text.splitlines()) or 1)
+        open_group()
     return CavpFile(groups)
 
 

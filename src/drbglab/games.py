@@ -17,13 +17,16 @@ to the adversary. The games differ only in how each call is served.
 
 The game's computation tree is the specification, and
 :func:`~drbglab.prob.exact_dist` enumerates it as the reference. The one
-exact path, the factored evaluator, writes each game once as a list of
-steps (draw an eta-bit block, run one deterministic generate call,
-answer one oracle query) and propagates them forward over merged integer
-states (adversary fold, k, v, bad, oracle state). k and v are drawn
-lazily at their first read, so unused samples marginalize out, and every
-mass is a Python int over an implicit ``2^bits`` denominator until the
-game ends. Tests pin it to the reference on every game family.
+exact path, the factored evaluator (:mod:`.factored`), writes each game
+once as a list of steps (draw an eta-bit block, run one deterministic
+generate call, answer one oracle query) and propagates them forward over
+merged integer states (adversary fold, k, v, bad, oracle state). k and v
+are drawn lazily at their first read, so unused samples marginalize out.
+A backward liveness pass over the step list finds the slots that no
+later step reads, and each step empties them before its states merge,
+so states that differ only there are lumped. Every mass is a Python int
+over an implicit ``2^bits`` denominator until the game ends. Tests pin
+it to the reference on every game family.
 
 The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and
@@ -35,14 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
+from .factored import propagate
 from .prf import ZERO_OCTET, Block, prf_small
 from .prob import (
     MIN_TRIALS,
     AdvantageEstimate,
     Comp,
+    EnumerationCapExceeded,
     Oracle,
     Return,
     bind,
@@ -515,20 +520,8 @@ _BAD_TREES = {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}  # each oracle game's
 
 # ------------------------------------------------------ the factored evaluator
 #
-# A state is (adversary fold, k, v, bad, oracle state). A uniform sample
-# that nothing reads (the instantiate key of an ideal prefix or of an
-# oracle game, the instantiate v before an ideal call) is never drawn,
-# so it marginalizes out. A draw adds eta bits to the common 2^bits
-# denominator, and a state that ignores the drawn block (a random-function
-# cache hit) collects all 2^eta equal shares.
-
-_K, _V = 1, 2  # state slots that steps read, drawing them on first read
-
-
-class _Step(NamedTuple):
-    reads: tuple[int, ...]  # slots drawn first if still None
-    draws: bool  # whether fn takes a fresh uniform eta-bit block
-    fn: Callable[..., tuple]  # state -> state, or (state, block) -> state
+# A game reaches the factored evaluator as the shapes of its generate
+# calls; :mod:`.factored` builds its step list and propagates it.
 
 
 def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
@@ -549,111 +542,6 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
     if game in ("gi_prf", "gi_rf", "gi_rb") and i < nc:
         shapes[i] = game[3:]
     return shapes
-
-
-def _steps(p: HybridParams, shapes: list[str]) -> list[_Step]:
-    """The step list of a game, one generate call after another."""
-    eta, n, absorb, f = p.eta, p.blocks_per_call, p.adversary.absorb, p.prf_int
-
-    def ideal_block(st: tuple, x: int) -> tuple:
-        return absorb(st[0], x, eta), st[1], x, st[3], st[4]
-
-    def generate(shape: str) -> _Step:
-        def fn(st: tuple) -> tuple:
-            adv, k, v, bad, orc = st
-            if shape == "v":
-                v = f(k, "c", v)
-            for _ in range(n):
-                v = f(k, "c", v)
-                adv = absorb(adv, v, eta)
-            k2 = f(k, "r", v)
-            if shape == "spec":
-                v = f(k2, "c", v)
-            return adv, k2, v, bad, orc
-
-        return _Step((_K, _V), False, fn)
-
-    def query(mode: str, kind: str = "c", visible: bool = True) -> _Step:
-        """One query of call i in oracle mode prf, rf or rb. A chain
-        query's input is v, its answer becomes v, and an input already in
-        the trace sets bad. The rekey query's input carries the zero-octet
-        pad, so it never repeats a chain input and every oracle answers it
-        afresh; its answer is the new key, and the trace is dropped. In
-        prf mode the k slot holds the oracle's own key until the rekey,
-        and no trace is kept: the bad event belongs to rf and rb only."""
-
-        def fn(st: tuple, x: int = 0) -> tuple:
-            adv, k, v, bad, orc = st
-            if kind == "r":
-                return adv, f(k, "r", v) if mode == "prf" else x, v, bad, ()
-            if mode == "prf":
-                ans = f(k, "c", v)
-            else:
-                past = [ans for inp, ans in orc if inp == v]
-                ans = past[0] if past and mode == "rf" else x
-                if past:
-                    bad = True
-                else:
-                    orc = tuple(sorted(orc + ((v, ans if mode == "rf" else None),)))
-            if visible:
-                adv = absorb(adv, ans, eta)
-            return adv, k, ans, bad, orc
-
-        return _Step((_K, _V) if mode == "prf" else (_V,), mode != "prf", fn)
-
-    steps: list[_Step] = []
-    for c, shape in enumerate(shapes):
-        if shape == "ideal":
-            steps += [_Step((), True, ideal_block)] * n
-        elif shape in ("spec", "nov", "v"):
-            steps.append(generate(shape))
-        else:
-            if c > 0:  # the v update that leads the call is a hidden query
-                steps.append(query(shape, visible=False))
-            steps += [query(shape, visible=True) for _ in range(n)]
-            steps.append(query(shape, kind="r"))
-    return steps
-
-
-def _merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
-    out: dict[Any, int] = {}
-    for point, mass in pairs:
-        out[point] = out.get(point, 0) + mass
-    return out
-
-
-def _propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fraction]:
-    """Exact joint distribution of (adversary answer, bad) in the game
-    whose generate calls have these shapes."""
-    adv, space = p.adversary, range(1 << p.eta)
-    dist = {(adv.initial(), None, None, False, ()): 1}
-    bits = 0
-
-    def draw(dist: dict[tuple, int], fn: Callable[[tuple, int], tuple]) -> dict[tuple, int]:
-        return _merge((fn(st, x), mass) for st, mass in dist.items() for x in space)
-
-    for step in _steps(p, shapes):
-        for s in step.reads:
-            if any(st[s] is None for st in dist):
-                dist = draw(
-                    dist,
-                    lambda st, x, s=s: st[:s] + (x,) + st[s + 1 :] if st[s] is None else st
-                )
-                bits += p.eta
-        if step.draws:
-            dist = draw(dist, step.fn)
-            bits += p.eta
-        else:
-            dist = _merge((step.fn(st), mass) for st, mass in dist.items())
-
-    joint: dict[tuple[bool, bool], Fraction] = {}
-    for (adv_state, bad), mass in _merge(((st[0], st[3]), m) for st, m in dist.items()).items():
-        p_true = adv.finish_pr(adv_state)
-        for answer, share in ((True, p_true), (False, 1 - p_true)):
-            if share:
-                key = (answer, bad)
-                joint[key] = joint.get(key, Fraction(0)) + Fraction(mass, 1 << bits) * share
-    return joint
 
 
 # ------------------------------------------------------------- game registry
@@ -753,11 +641,13 @@ class GameEvaluator:
     2^(2*eta)`` within ``DEFAULT_FAST_OPS_CAP``: every game is one step
     list (draw an eta-bit block, run a deterministic generate call,
     answer an oracle query) propagated forward over merged integer
-    states, with k and v drawn lazily at first read and masses kept as
-    ints over a ``2^bits`` denominator until the game ends. Past the
-    budget, every value is a Monte Carlo estimate with Clopper-Pearson
-    intervals. Results are memoized per evaluator, so a lemma suite
-    shares work across checks.
+    states, with k and v drawn lazily at first read, the slots no later
+    step reads emptied, and masses kept as ints over a ``2^bits``
+    denominator until the game ends. Past the budget, or once the
+    adversary's own coins outgrow what ``exact_dist`` enumerates, every
+    value is a Monte Carlo estimate with Clopper-Pearson intervals.
+    Results are memoized per evaluator, so a lemma suite shares work
+    across checks.
     """
 
     def __init__(
@@ -769,7 +659,7 @@ class GameEvaluator:
         self.trials = trials
         self.seed = seed
         self._pr: dict[tuple, Iv] = {}
-        self._joint: dict[tuple, dict[tuple[bool, bool], Fraction] | None] = {}
+        self._joint: dict[tuple[str, ...], dict[tuple[bool, bool], Fraction]] = {}
         self._cells: dict[tuple, dict[tuple[bool, bool], AdvantageEstimate]] = {}
         self._factored = (
             p.adversary.state_bound(p.eta, p.num_calls * p.blocks_per_call) << (2 * p.eta)
@@ -778,11 +668,21 @@ class GameEvaluator:
 
     def _exact(self, game: str, i: int | None) -> dict[tuple[bool, bool], Fraction] | None:
         """The exact (answer, bad) joint of a game, or None when the
-        factored evaluator does not admit the adversary."""
-        key = (game, i)
+        factored evaluator does not admit the adversary. Joints are
+        memoized by shape list, which games with equal shapes share
+        (g_ideal, gi_prg(nc) and gi_prf(nc); g1_prg and gi_prg(0)). An
+        adversary whose own coins cannot be enumerated puts the evaluator
+        past its budget, like one the admission rule turns away."""
+        shapes = _call_shapes(self.p, game, i)
+        key = tuple(shapes)
+        if not self._factored:
+            return None
         if key not in self._joint:
-            shapes = _call_shapes(self.p, game, i)
-            self._joint[key] = _propagate(self.p, shapes) if self._factored else None
+            try:
+                self._joint[key] = propagate(self.p, shapes)
+            except EnumerationCapExceeded:
+                self._factored = False
+                return None
         return self._joint[key]
 
     def _estimates(self, game: str, i: int) -> dict[tuple[bool, bool], AdvantageEstimate]:

@@ -153,16 +153,23 @@ class TestParseErrors:
         )
 
     def test_missing_length_header(self):
+        # an error about the header run names the run's first line
         self.expect(
             lambda t: t.replace("[NonceLen = 128]\n", ""),
-            "missing lengths: NonceLen",
+            "line 2: group header missing lengths: NonceLen",
         )
 
     def test_header_without_mechanism(self):
         text = _synthetic_file().replace("[SHA-256]\n", "")
         with pytest.raises(cavp.CavpParseError) as err:
             cavp.parse(text)
-        assert "no mechanism tag" in str(err.value)
+        assert str(err.value).startswith("line 2: group header has no mechanism tag")
+
+    def test_non_integer_length_at_its_line(self):
+        self.expect(
+            lambda t: t.replace("[NonceLen = 128]", "[NonceLen = 1x8]"),
+            "line 5: non-integer length NonceLen = '1x8'",
+        )
 
     def test_malformed_line(self):
         self.expect(lambda t: t + "garbage\n", "malformed line")

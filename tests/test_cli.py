@@ -339,11 +339,16 @@ def first_sha256(name: str, field: str) -> int:
     return next(i for i in range(start, len(lines)) if lines[i].startswith(field.encode()))
 
 
+def with_line(name: str, lineno: int, edit) -> bytes:
+    """A bundled file whose line ``lineno`` becomes ``edit(line)``."""
+    lines, at = RSP_LINES[name], lineno - 1
+    return b"".join(lines[:at] + [edit(lines[at])] + lines[at + 1:])
+
+
 def with_first(name: str, field: str, edit) -> bytes:
     """A bundled file whose first ``field`` line of its SHA-256 groups
     becomes ``edit(line)``."""
-    lines, at = RSP_LINES[name], first_sha256(name, field)
-    return b"".join(lines[:at] + [edit(lines[at])] + lines[at + 1:])
+    return with_line(name, first_sha256(name, field) + 1, edit)
 
 
 def without_first(name: str, field: str) -> bytes:
@@ -405,6 +410,10 @@ PROBES = {
             BUNDLED[2], "[PredictionResistance", lambda l: l.replace(b"True", b"Ture")))],
         f"t.rsp: line {line_of(BUNDLED[2], '[PredictionResistance')}: "
         "PredictionResistance 'Ture' is not True or False"),
+    "non-integer-length": (lambda tmp: [
+        "cavp", written(tmp / "l.rsp", with_line(
+            BUNDLED[0], 7, lambda l: l.replace(b"64]", b"6x4]")))],
+        "l.rsp: line 7: non-integer length NonceLen = '6x4'"),
     "no-case-ran": (lambda tmp: [
         "cavp", vector_path(BUNDLED[0]), "--mechanism", "sha-256"],
         "mechanism sha-256; the file's mechanisms are SHA-1, SHA-224, SHA-256, SHA-384, SHA-512"),

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from drbglab import games
+from drbglab import factored, games
 from drbglab.bounds import birthday_exact, pr_collisions
 from drbglab.games import (
     ALL_CHECKS,
@@ -250,6 +250,33 @@ class TestBadEvent:
         for j in range(2):
             assert ev.pr_bad("rb", j).mid <= bound
 
+    @staticmethod
+    def rf_equal_to_rb() -> tuple[list, list]:
+        """The eta-3 grid pairs (point, i) with Pr[bad] > 0, and those
+        among them whose collision rf and rb joints are equal."""
+        with_bad, equal = [], []
+        for nc in (1, 2, 3):
+            for bpc in (1, 2):
+                ev = GameEvaluator(params(3, nc, bpc))
+                for j in range(nc):
+                    if ev.pr_bad("rb", j).mid > 0:
+                        with_bad.append(((3, nc, bpc), j))
+                        if ev._exact("gi_rf", j) == ev._exact("gi_rb", j):
+                            equal.append(((3, nc, bpc), j))
+        return with_bad, equal
+
+    def test_rf_keeps_its_cache(self, monkeypatch):
+        # wherever a repeat can happen, the collision adversary sees an rf
+        # answer it from the cache, so the rf and rb joints differ; every
+        # rf/rb lemma still holds for an rf that forgets its cache (served
+        # as rb), so no lemma catches one
+        with_bad, equal = self.rf_equal_to_rb()
+        assert len(with_bad) == 9 and equal == []
+        steps = factored.steps
+        forgetful = lambda p, shapes: steps(p, ["rb" if s == "rf" else s for s in shapes])
+        monkeypatch.setattr(factored, "steps", forgetful)
+        assert self.rf_equal_to_rb() == (with_bad, with_bad)
+
 
 class TestLemmas:
     def test_full_suite_small(self):
@@ -364,6 +391,19 @@ class TestEvaluatorModes:
                 lines.append([c.line() for c in checks])
             assert lines[0] == lines[1]
 
+    def test_plain_adversary_past_the_coin_cap(self):
+        # coins that exact_dist cannot enumerate put the evaluator past its
+        # budget: every value is then a Monte Carlo estimate
+        adv = lambda outs: mapc(sample_bits(25), lambda x: x % 2 == 0)
+        p = params(2, 1, 1, adversary=adv)
+        ev = GameEvaluator(p, trials=2000, seed=1)
+        checks = run_all_lemmas(p, evaluator=ev) + [main_theorem_check(p, ev).check]
+        assert ev.mode == "monte-carlo"
+        assert all(c.mode == "monte-carlo" and c.passed for c in checks)
+        for game, j in (("g_real", None), ("g_ideal", None), ("gi_prf", 0), ("gi_rf", 0)):
+            got = ev.pr(game, j)
+            assert not got.exact and got.lo <= F(1, 2) <= got.hi, (game, j)
+
     def test_monte_carlo_on_wide_blocks(self):
         p = HybridParams(16, 2, 2)
         ev = GameEvaluator(p, trials=500, seed=3)
@@ -413,6 +453,58 @@ class TestEvaluatorModes:
                 ev.pr("gi_rf")  # no hybrid index
             with pytest.raises(ValueError):
                 games.gi_prg(p, 7)
+
+
+class TestLumping:
+    """Slots that no later step reads are emptied, so states that differ
+    only in them merge."""
+
+    def test_dead_slots_and_useless_draws(self):
+        # one rf call of one block: the query's trace and v die with it,
+        # and the rekey's answer lands only in a dead k, so it is not drawn
+        p = params(3, 1, 1)
+        query, rekey = factored.plan(factored.steps(p, ["rf"]))
+        assert query.lazy == (factored.V,) and query.draw
+        assert query.clear is factored.CLEAR[frozenset({factored.V, factored.ORC})]
+        assert not rekey.draw and rekey.clear is factored.CLEAR[frozenset({factored.K})]
+
+    # the peak merged-state count of one game's propagation: 12,888,
+    # 9,136 and 22,968 before dead slots were emptied
+    PEAKS = [((3, 2, 2), "gi_rf", 1, 2808), ((3, 3, 2), "gi_rb", 2, 6672),
+             ((3, 3, 2), "gi_rf", 2, 8296)]
+
+    @pytest.mark.parametrize("point,game,j,bound", PEAKS)
+    def test_peak_states(self, point, game, j, bound, monkeypatch):
+        merge, peak = factored.merge, [0]
+
+        def counted(pairs):
+            out = merge(pairs)
+            peak[0] = max(peak[0], len(out))
+            return out
+
+        monkeypatch.setattr(factored, "merge", counted)
+        p = params(*point)
+        factored.propagate(p, games._call_shapes(p, game, j))
+        assert peak[0] <= bound
+
+    def test_joints_memoized_by_shape_list(self, monkeypatch):
+        # g_ideal, gi_prg(nc) and gi_prf(nc) share one joint, and so do
+        # g1_prg and gi_prg(0): a suite propagates each shape list once
+        propagate, shapes = games.propagate, []
+
+        def counted(p, call_shapes):
+            shapes.append(tuple(call_shapes))
+            return propagate(p, call_shapes)
+
+        monkeypatch.setattr(games, "propagate", counted)
+        p = params(2, 2, 2)
+        ev = GameEvaluator(p)
+        run_all_lemmas(p, evaluator=ev)
+        main_theorem_check(p, ev)
+        assert len(shapes) == len(set(shapes))
+        assert ev._exact("g_ideal", None) is ev._exact("gi_prg", 2) is ev._exact("gi_prf", 2)
+        assert ev._exact("g1_prg", None) is ev._exact("gi_prg", 0)
+        assert len(shapes) == 10  # 3 of the 13 games reuse a joint
 
 
 class TestIvAlgebra:
