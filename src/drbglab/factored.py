@@ -1,10 +1,11 @@
-"""The factored evaluator: the exact ``(answer, bad)`` joint of a game
-written as a list of steps.
+"""Two interpreters of a game's call shapes: the factored evaluator,
+which computes the exact ``(answer, bad)`` joint, and the lean sampler
+that Monte Carlo runs.
 
-:mod:`.games` names each game by the shapes of its generate calls. Each
-shape becomes a few steps (draw an eta-bit block, run one deterministic
-generate call, answer one oracle query), and one forward propagator runs
-the list over merged integer states (adversary fold, k, v, bad, oracle
+:mod:`.games` names each game by the shapes of its generate calls. For
+the factored evaluator each shape becomes a few steps (draw an eta-bit
+block, run one deterministic generate call, answer one oracle query),
+and one forward propagator runs the list over merged integer states (adversary fold, k, v, bad, oracle
 state). A uniform sample that nothing reads (the instantiate key of an
 ideal prefix or of an oracle game, the instantiate v before an ideal
 call) is never drawn, so it marginalizes out: k and v are drawn lazily at
@@ -24,12 +25,24 @@ reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007).
 
 The oracle state is one int with an (eta+1)-bit field per input: 0 for
 an input not yet queried, else answer+1 under rf and 1 under rb.
+
+The sampler compiles the same shapes into a lean ``prob`` computation:
+plain ``Sample`` nodes over int blocks, with ``prf_int`` as the only
+PRF, so ``prob.sample``, ``exact_dist`` and ``estimate_pr_true`` run it
+unchanged. Unlike the propagator, it draws every block eagerly, in the
+faithful tree's order, because a seeded trial must give the faithful
+tree's outcome. Its oracle trace is a small per-trial dict, since
+setting a field of a (eta+1)·2^eta-bit int costs too much at eta 16.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+
+from .prf import Block
+from .prob import Comp, Sample, mapc
 
 if TYPE_CHECKING:
     from .games import HybridParams
@@ -53,6 +66,28 @@ class Step(NamedTuple):
     fn: Callable[[tuple, int], tuple]  # (state, block) -> state
 
 
+def generate(
+    p: HybridParams, shape: str, absorb: Callable[[Any, int, int], Any]
+) -> Callable[[tuple, int | None], tuple]:
+    """One deterministic generate call in 'spec', 'nov' or 'v' shape,
+    each output value absorbed into the adversary slot."""
+    eta, n, f = p.eta, p.blocks_per_call, p.prf_int
+
+    def fn(st: tuple, x: int | None) -> tuple:
+        adv, k, v, bad, orc = st
+        if shape == "v":
+            v = f(k, "c", v)
+        for _ in range(n):
+            v = f(k, "c", v)
+            adv = absorb(adv, v, eta)
+        k2 = f(k, "r", v)
+        if shape == "spec":
+            v = f(k2, "c", v)
+        return adv, k2, v, bad, orc
+
+    return fn
+
+
 def steps(p: HybridParams, shapes: list[str]) -> list[Step]:
     """The step list of a game, one generate call after another. A
     call's shape is 'ideal', 'spec', 'nov' or 'v', or the oracle mode
@@ -63,21 +98,6 @@ def steps(p: HybridParams, shapes: list[str]) -> list[Step]:
 
     def ideal_block(st: tuple, x: int) -> tuple:
         return absorb(st[0], x, eta), st[1], x, st[3], st[4]
-
-    def generate(shape: str) -> Step:
-        def fn(st: tuple, x: int) -> tuple:
-            adv, k, v, bad, orc = st
-            if shape == "v":
-                v = f(k, "c", v)
-            for _ in range(n):
-                v = f(k, "c", v)
-                adv = absorb(adv, v, eta)
-            k2 = f(k, "r", v)
-            if shape == "spec":
-                v = f(k2, "c", v)
-            return adv, k2, v, bad, orc
-
-        return Step((K, V), (K, V), (), fn)
 
     def prf_query(kind: str, visible: bool) -> Step:
         """One query of call i in prf mode: the k slot holds the oracle's
@@ -130,7 +150,7 @@ def steps(p: HybridParams, shapes: list[str]) -> list[Step]:
         if shape == "ideal":
             out += [Step((), (V,), (ADV, V), ideal_block)] * n
         elif shape in ("spec", "nov", "v"):
-            out.append(generate(shape))
+            out.append(Step((K, V), (K, V), (), generate(p, shape, absorb)))
         elif shape == "prf":
             if c > 0:  # the v update that leads the call is a hidden query
                 out.append(prf_query("c", visible=False))
@@ -213,3 +233,135 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
                 key = (answer, bad)
                 joint[key] = joint.get(key, Fraction(0)) + Fraction(mass, 1 << bits) * share
     return joint
+
+
+# ---------------------------------------------------------------- the sampler
+#
+# One path per trial over the propagator's slots, except that the
+# adversary slot holds the output values so far and the oracle slot a
+# dict from query input to answer. Each op is (wants, fn): whether it
+# draws a block in this state, and the state it leaves.
+#
+# A run of ops that always draw becomes one Sample of the run's width.
+# SplitMix64 hands out the same bits either way, the first block in the
+# most significant place, and exact_dist sums the same paths.
+
+
+def _always(st: tuple) -> bool:
+    return True
+
+
+def _never(st: tuple) -> bool:
+    return False
+
+
+def _new_input(st: tuple) -> bool:
+    return st[V] not in st[ORC]
+
+
+def _drop(st: tuple, x: int | None) -> tuple:
+    return st
+
+
+def _transcript(outs: tuple, value: int, eta: int) -> tuple:
+    return outs + (value,)
+
+
+@functools.lru_cache(maxsize=256)
+def _block(eta: int, value: int) -> Block:
+    # Blocks are immutable, so adversaries may share them; every value of
+    # an eta up to 8 stays cached
+    return Block(eta, value)
+
+
+def _run(fns: list[Callable[[tuple, int | None], tuple]], eta: int) -> Callable:
+    """One fn that feeds each of fns its eta-bit share of a drawn int,
+    the first fn the most significant share."""
+    if len(fns) == 1:
+        return fns[0]
+    mask = (1 << eta) - 1
+    shifts = [eta * j for j in reversed(range(len(fns)))]
+
+    def fn(st: tuple, x: int | None) -> tuple:
+        for one, shift in zip(fns, shifts):
+            st = one(st, x >> shift & mask)
+        return st
+
+    return fn
+
+
+def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Comp:
+    """The lean computation of a game whose generate calls have these
+    shapes: the adversary's result, or ``(result, bad)`` with_bad. It
+    draws every eta-bit block the faithful tree draws, in the same order:
+
+    - gi_prf draws its oracle key first, and every game but g_ideal then
+      draws the instantiate k and v, whether or not anything reads them;
+    - an ideal call draws its blocks in order;
+    - an rb query always draws, an rf query only on a new input, and the
+      rekey query always;
+    - the adversary runs last on Blocks, so its own coins come last.
+    """
+    eta, n = p.eta, p.blocks_per_call
+
+    def into(slot: int) -> Callable[[tuple, int | None], tuple]:
+        return lambda st, x: st[:slot] + (x,) + st[slot + 1 :]
+
+    def ideal_block(st: tuple, x: int | None) -> tuple:
+        return st[ADV] + (x,), st[K], x, st[BAD], st[ORC]
+
+    def query(cache: bool, visible: bool) -> Callable[[tuple, int | None], tuple]:
+        """A chain query of call i: its input is v and its answer becomes
+        v. A repeated input sets bad; rf then answers from its cache."""
+
+        def op(st: tuple, x: int | None) -> tuple:
+            outs, k, v, bad, trace = st
+            if v in trace:
+                bad = True
+                if cache:
+                    x = trace[v]
+            else:
+                trace = {**trace, v: x}
+            return (outs + (x,) if visible else outs), k, x, bad, trace
+
+        return op
+
+    if game == "gi_prf":  # the oracle's own key, then an instantiate k nothing reads
+        ops = [(_always, into(K)), (_always, _drop), (_always, into(V))]
+    elif game != "g_ideal":
+        ops = [(_always, into(K)), (_always, into(V))]
+    else:
+        ops = []
+    for c, shape in enumerate(shapes):
+        if shape == "ideal":
+            ops += [(_always, ideal_block)] * n
+        elif shape in ("rf", "rb"):
+            fresh = _new_input if shape == "rf" else _always
+            if c > 0:  # the v update that leads the call is a hidden query
+                ops.append((fresh, query(shape == "rf", visible=False)))
+            ops += [(fresh, query(shape == "rf", visible=True))] * n
+            ops.append((_always, into(K)))  # the rekey query: its padded input never repeats
+        else:  # a deterministic call; prf mode runs on the oracle key in the k slot
+            if shape == "prf":
+                shape = "nov" if c == 0 else "v"
+            ops.append((_never, generate(p, shape, _transcript)))
+
+    runs: list[tuple[Callable[[tuple], bool], list]] = []
+    for wants, fn in ops:
+        if wants is _always and runs and runs[-1][0] is _always:
+            runs[-1][1].append(fn)
+        else:
+            runs.append((wants, [fn]))
+    program = [(wants, _run(fns, eta), eta * len(fns)) for wants, fns in runs]
+
+    def go(pc: int, st: tuple) -> Comp:
+        for pc in range(pc, len(program)):
+            wants, fn, width = program[pc]
+            if wants(st):
+                return Sample(width, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
+            st = fn(st, None)
+        outs = [_block(eta, x) for x in st[ADV]]
+        result = p.adversary([outs[c : c + n] for c in range(0, len(outs), n)])
+        return mapc(result, lambda answer, _bad=st[BAD]: (answer, _bad)) if with_bad else result
+
+    return go(0, ((), None, None, False, {}))

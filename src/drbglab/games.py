@@ -30,7 +30,11 @@ it to the reference on every game family.
 
 The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and
-estimates it by Monte Carlo otherwise.
+estimates it by Monte Carlo otherwise. Monte Carlo samples a lean
+computation compiled from the same call shapes (``factored.sampler``):
+int blocks, ``prf_int`` as the only PRF, and every block drawn in the
+faithful tree's order, so each seed gives the faithful tree's outcome.
+Tests pin it trial by trial to the faithful trees.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
-from .factored import propagate
+from .factored import propagate, sampler
 from .prf import ZERO_OCTET, Block, prf_small
 from .prob import (
     MIN_TRIALS,
@@ -205,6 +209,9 @@ class _TranscriptFold:
 # ----------------------------------------------------------------- parameters
 
 
+PRF_MEMO_CAP = 4096  # prf_int memo entries; eta <= 5 never fills it
+
+
 class HybridParams:
     """Shared parameters of the game family.
 
@@ -251,6 +258,8 @@ class HybridParams:
         if kind == "r":
             x = x + ZERO_OCTET
         out = self.prf(self.block(key), x).value
+        if len(self._prf_memo) >= PRF_MEMO_CAP:  # at wide eta every trial keys the PRF afresh
+            self._prf_memo.clear()
         self._prf_memo[memo_key] = out
         return out
 
@@ -515,13 +524,11 @@ def gi_rb_bad(p: HybridParams, i: int) -> Comp:
     )
 
 
-_BAD_TREES = {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}  # each oracle game's (answer, bad) tree
-
-
 # ------------------------------------------------------ the factored evaluator
 #
-# A game reaches the factored evaluator as the shapes of its generate
-# calls; :mod:`.factored` builds its step list and propagates it.
+# A game reaches :mod:`.factored` as the shapes of its generate calls:
+# the factored evaluator builds their step list and propagates it, and
+# Monte Carlo samples the lean computation compiled from them.
 
 
 def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
@@ -536,8 +543,10 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
         i = nc
     elif game not in ("gi_prg", "gi_prf", "gi_rf", "gi_rb"):
         raise ValueError(f"unknown game {game!r}")
-    elif i is None or not 0 <= i <= nc - (game in _BAD_TREES):
-        raise ValueError(f"i must be in 0..{nc - (game in _BAD_TREES)} for {game!r}, got {i}")
+    else:
+        last = nc - (game in ("gi_rf", "gi_rb"))  # rf and rb need a call i to serve
+        if i is None or not 0 <= i <= last:
+            raise ValueError(f"i must be in 0..{last} for {game!r}, got {i}")
     shapes = ["ideal" if c < i else "nov" if c == 0 else "v" for c in range(nc)]
     if game in ("gi_prf", "gi_rf", "gi_rb") and i < nc:
         shapes[i] = game[3:]
@@ -645,7 +654,8 @@ class GameEvaluator:
     step reads emptied, and masses kept as ints over a ``2^bits``
     denominator until the game ends. Past the budget, or once the
     adversary's own coins outgrow what ``exact_dist`` enumerates, every
-    value is a Monte Carlo estimate with Clopper-Pearson intervals.
+    value is a Monte Carlo estimate with Clopper-Pearson intervals,
+    sampled from the game's lean computation (``factored.sampler``).
     Results are memoized per evaluator, so a lemma suite shares work
     across checks.
     """
@@ -690,7 +700,7 @@ class GameEvaluator:
         oracle game, each replaying the same seeded trials."""
         key = (game, i)
         if key not in self._cells:
-            comp = _BAD_TREES[game](self.p, i)
+            comp = sampler(self.p, game, _call_shapes(self.p, game, i), with_bad=True)
             self._cells[key] = {
                 o: estimate_pr_true(mapc(comp, lambda x, _o=o: x == _o), self.trials, self.seed)
                 for o in ((True, True), (True, False), (False, True), (False, False))
@@ -704,7 +714,7 @@ class GameEvaluator:
         if key not in self._pr:
             joint = self._exact(game, i)
             if joint is None:
-                comp = build_game(self.p, game, i)
+                comp = sampler(self.p, game, _call_shapes(self.p, game, i))
                 value = Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
             else:
                 value = Iv.of_fraction(sum((pr for (a, _), pr in joint.items() if a), Fraction(0)))
@@ -1008,14 +1018,15 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     fall inside the estimator's confidence interval about as often as
     the confidence level promises.
 
-    Each entry pairs the faithful computation tree, which the estimator
-    samples, with the enumeration of that same tree; tests pin every
-    value to the factored evaluator.
+    Each entry pairs the game's lean computation, which the estimator
+    samples, with the enumeration of that same computation; tests pin
+    every value as a literal and to the factored evaluator, and the
+    lean computation's outcomes to the faithful tree's.
     """
     out = []
     for game, eta, nc, bpc, adversary, adv_name, i in CALIBRATION_SPECS:
         p = HybridParams(eta, nc, bpc, adversary=adversary)
-        comp = build_game(p, game, i)
+        comp = sampler(p, game, _call_shapes(p, game, i))
         exact = exact_dist(comp, max_path_bits=18).pr_true
         where = "" if i is None else f" i={i}"
         name = f"{game}{where} eta={eta} calls={nc} blocks={bpc} adv={adv_name}"

@@ -5,6 +5,7 @@ live in the acceptance tests; here each moving part is exercised at the
 smallest sizes that still distinguish right from wrong.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,7 @@ from drbglab.prob import (
     estimate_pr_true,
     exact_dist,
     mapc,
+    sample,
     sample_bits,
 )
 
@@ -265,6 +267,24 @@ class TestBadEvent:
                             equal.append(((3, nc, bpc), j))
         return with_bad, equal
 
+    @pytest.mark.parametrize(
+        "adv", [collision_detector, first_bit, constant(True)],
+        ids=["collision", "first-bit", "constant"],
+    )
+    def test_closed_form_on_the_grid(self, adv):
+        # call i makes bpc chain queries, one more at i > 0 for its leading
+        # v update; their inputs are iid uniform until one repeats (the
+        # incoming v, then each fresh answer), and the padded rekey input
+        # never repeats one
+        for eta in (1, 2, 3):
+            for nc in (1, 2, 3):
+                for bpc in (1, 2):
+                    ev = GameEvaluator(params(eta, nc, bpc, adversary=adv))
+                    for j in range(nc):
+                        expect = birthday_exact(bpc + (j > 0), 1 << eta)
+                        for oracle in ("rb", "rf"):
+                            assert ev.pr_bad(oracle, j).mid == expect, (eta, nc, bpc, oracle, j)
+
     def test_rf_keeps_its_cache(self, monkeypatch):
         # wherever a repeat can happen, the collision adversary sees an rf
         # answer it from the cache, so the rf and rb joints differ; every
@@ -455,6 +475,120 @@ class TestEvaluatorModes:
                 games.gi_prg(p, 7)
 
 
+def lean(p: HybridParams, game: str, i=None, with_bad=False):
+    return games.sampler(p, game, games._call_shapes(p, game, i), with_bad)
+
+
+def faithful(p: HybridParams, game: str, i=None, with_bad=False):
+    if with_bad:
+        return {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}[game](p, i)
+    return build_game(p, game, i)
+
+
+def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
+    """The games of the eta 1..3 x calls 1..3 x blocks 1..2 grid, each
+    oracle game also with its bad flag, whose lean and faithful trees
+    differ in the outcome of some seeded trial."""
+    out = []
+    for eta in (1, 2, 3):
+        for nc in (1, 2, 3):
+            for bpc in (1, 2):
+                p = params(eta, nc, bpc, adversary=adversary)
+                jobs = [("g_real", None, False), ("g1_prg", None, False), ("g_ideal", None, False)]
+                jobs += [(game, j, False) for game in ("gi_prg", "gi_prf") for j in range(nc + 1)]
+                jobs += [(game, j, with_bad) for game in ("gi_rf", "gi_rb") for j in range(nc)
+                         for with_bad in (False, True)]
+                for job in jobs:
+                    got = [sample(lean(p, *job), seed) for seed in range(trials)]
+                    want = [sample(faithful(p, *job), seed) for seed in range(trials)]
+                    if got != want:
+                        out.append(((eta, nc, bpc),) + job)
+    return out
+
+
+def calibration_mismatches(trials: int = 100) -> list[int]:
+    """The CALIBRATION_SPECS entries whose lean and faithful trees give
+    different hit counts at seed 0xCA11 + j."""
+    out = []
+    for j, (game, eta, nc, bpc, adversary, _, i) in enumerate(CALIBRATION_SPECS):
+        p = params(eta, nc, bpc, adversary=adversary)
+        hits = [estimate_pr_true(comp(p, game, i), trials, 0xCA11 + j).hits
+                for comp in (lean, faithful)]
+        if hits[0] != hits[1]:
+            out.append(j)
+    return out
+
+
+class TestLeanSampler:
+    """Monte Carlo samples the lean computation of each game's call
+    shapes. It must draw in the faithful tree's order, so every seeded
+    outcome, and with it every hit count, is the faithful tree's."""
+
+    @pytest.mark.parametrize(
+        "adv",
+        [collision_detector, first_bit, constant(True), TestEvaluatorModes.PLAIN[1]],
+        ids=["collision", "first-bit", "constant", "plain-coin"],
+    )
+    def test_outcomes_match_faithful_on_the_grid(self, adv):
+        # equal outcomes trial by trial: equal hits for every game and for
+        # each of the four (answer, bad) cells of the oracle games
+        assert grid_mismatches(adv) == []
+
+    def test_calibration_hits_match_faithful(self):
+        assert calibration_mismatches() == []
+
+    def test_prf_memo_is_bounded(self):
+        # at eta 16 nearly every trial keys the PRF afresh
+        misses = []
+
+        def counted(key, x):
+            misses.append(x)
+            return prf_small(key, x)
+
+        p = HybridParams(16, 2, 2, prf=counted)
+        ev = GameEvaluator(p, trials=200, seed=0)
+        run_all_lemmas(p, evaluator=ev)
+        main_theorem_check(p, evaluator=ev)
+        assert len(misses) > games.PRF_MEMO_CAP >= len(p._prf_memo)
+
+    # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
+    # Selection", IEEE Computer 1978): each one-line change to the
+    # sampler's draw order must fail a named pin. (what the mutant does,
+    # the line, its mutation, the pin that kills it)
+    MUTANTS = [
+        # only coins drawn after the shifted blocks show it: a cache hit
+        # repeats an output, so a collision is seen either way, and the
+        # first block is drawn before any hit
+        ("rf draws on a cache hit",
+         'fresh = _new_input if shape == "rf" else _always',
+         "fresh = _always",
+         "grid, plain coin"),
+        ("k and v are not drawn in an oracle game",
+         'elif game != "g_ideal":',
+         'elif game in ("g_real", "g1_prg", "gi_prg"):',
+         "calibration"),
+        ("gi_prf draws its key after k and v",
+         "ops = [(_always, into(K)), (_always, _drop), (_always, into(V))]",
+         "ops = [(_always, _drop), (_always, into(V)), (_always, into(K))]",
+         "calibration"),
+    ]
+    PINS = {
+        "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
+        "calibration": calibration_mismatches,
+    }
+
+    @pytest.mark.parametrize(
+        "what,line,mutation,pin", MUTANTS, ids=[m[0].replace(" ", "-") for m in MUTANTS]
+    )
+    def test_mutant_fails_its_pin(self, what, line, mutation, pin, monkeypatch):
+        source = inspect.getsource(factored)
+        assert source.count(line) == 1, "the mutated line must be in the sampler once"
+        namespace = {"__name__": "drbglab._mutant", "__package__": "drbglab"}
+        exec(compile(source.replace(line, mutation), factored.__file__, "exec"), namespace)
+        monkeypatch.setattr(games, "sampler", namespace["sampler"])
+        assert self.PINS[pin]() != [], what
+
+
 class TestLumping:
     """Slots that no later step reads are emptied, so states that differ
     only in them merge."""
@@ -597,13 +731,22 @@ class TestSeededHitCounts:
         51, 51, 51, 61, 55, 40, 55, 52, 52, 55, 55, 0, 55, 0, 45,
         0, 55, 0, 45, 0, 55, 0, 45, 0, 55, 0, 45, 55, 55,
     ]
+    # the same for the collision suite, which the benchmark runs; recorded
+    # from the faithful trees before Monte Carlo moved to the lean sampler
+    ETA16_COLLISION = [
+        1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 100,
+        0, 0, 0, 100, 0, 0, 0, 100, 0, 0, 0, 100, 0, 0,
+    ]
     # calibration_games() at 100 trials, seed 0xCA11 + j for game j
     CALIBRATION = [
         100, 97, 65, 100, 90, 59, 46, 100, 96, 90,
         66, 100, 99, 70, 24, 99, 93, 97, 23, 41,
     ]
 
-    def test_eta16_suite(self, monkeypatch):
+    @staticmethod
+    def suite_hits(monkeypatch, adversary) -> list[int]:
+        """The hit count of every estimate_pr_true call of the eta-16
+        suite at 100 trials and seed 0, in call order."""
         hits = []
 
         def counted(comp, trials, seed, confidence=0.99):
@@ -612,11 +755,17 @@ class TestSeededHitCounts:
             return est
 
         monkeypatch.setattr(games, "estimate_pr_true", counted)
-        p = HybridParams(16, 2, 2, adversary=first_bit)
+        p = HybridParams(16, 2, 2, adversary=adversary)
         ev = GameEvaluator(p, trials=100, seed=0)
         run_all_lemmas(p, evaluator=ev)
         main_theorem_check(p, evaluator=ev)
-        assert hits == self.ETA16_SUITE
+        return hits
+
+    def test_eta16_suite(self, monkeypatch):
+        assert self.suite_hits(monkeypatch, first_bit) == self.ETA16_SUITE
+
+    def test_eta16_collision_suite(self, monkeypatch):
+        assert self.suite_hits(monkeypatch, collision_detector) == self.ETA16_COLLISION
 
     def test_calibration_games(self, calibration):
         hits = [
