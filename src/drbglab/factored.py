@@ -37,7 +37,6 @@ setting a field of a (eta+1)·2^eta-bit int costs too much at eta 16.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
@@ -241,10 +240,6 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
 # adversary slot holds the output values so far and the oracle slot a
 # dict from query input to answer. Each op is (wants, fn): whether it
 # draws a block in this state, and the state it leaves.
-#
-# A run of ops that always draw becomes one Sample of the run's width.
-# SplitMix64 hands out the same bits either way, the first block in the
-# most significant place, and exact_dist sums the same paths.
 
 
 def _always(st: tuple) -> bool:
@@ -265,29 +260,6 @@ def _drop(st: tuple, x: int | None) -> tuple:
 
 def _transcript(outs: tuple, value: int, eta: int) -> tuple:
     return outs + (value,)
-
-
-@functools.lru_cache(maxsize=256)
-def _block(eta: int, value: int) -> Block:
-    # Blocks are immutable, so adversaries may share them; every value of
-    # an eta up to 8 stays cached
-    return Block(eta, value)
-
-
-def _run(fns: list[Callable[[tuple, int | None], tuple]], eta: int) -> Callable:
-    """One fn that feeds each of fns its eta-bit share of a drawn int,
-    the first fn the most significant share."""
-    if len(fns) == 1:
-        return fns[0]
-    mask = (1 << eta) - 1
-    shifts = [eta * j for j in reversed(range(len(fns)))]
-
-    def fn(st: tuple, x: int | None) -> tuple:
-        for one, shift in zip(fns, shifts):
-            st = one(st, x >> shift & mask)
-        return st
-
-    return fn
 
 
 def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Comp:
@@ -346,21 +318,13 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
                 shape = "nov" if c == 0 else "v"
             ops.append((_never, generate(p, shape, _transcript)))
 
-    runs: list[tuple[Callable[[tuple], bool], list]] = []
-    for wants, fn in ops:
-        if wants is _always and runs and runs[-1][0] is _always:
-            runs[-1][1].append(fn)
-        else:
-            runs.append((wants, [fn]))
-    program = [(wants, _run(fns, eta), eta * len(fns)) for wants, fns in runs]
-
     def go(pc: int, st: tuple) -> Comp:
-        for pc in range(pc, len(program)):
-            wants, fn, width = program[pc]
+        for pc in range(pc, len(ops)):
+            wants, fn = ops[pc]
             if wants(st):
-                return Sample(width, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
+                return Sample(eta, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
             st = fn(st, None)
-        outs = [_block(eta, x) for x in st[ADV]]
+        outs = [Block(eta, x) for x in st[ADV]]
         result = p.adversary([outs[c : c + n] for c in range(0, len(outs), n)])
         return mapc(result, lambda answer, _bad=st[BAD]: (answer, _bad)) if with_bad else result
 

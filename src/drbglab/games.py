@@ -553,6 +553,12 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
     return shapes
 
 
+def _lean(p: HybridParams, game: str, i: int | None, with_bad: bool = False) -> Comp:
+    """The lean computation Monte Carlo samples: the game's result, or
+    ``(result, bad)`` with_bad."""
+    return sampler(p, game, _call_shapes(p, game, i), with_bad)
+
+
 # ------------------------------------------------------------- game registry
 
 
@@ -700,7 +706,7 @@ class GameEvaluator:
         oracle game, each replaying the same seeded trials."""
         key = (game, i)
         if key not in self._cells:
-            comp = sampler(self.p, game, _call_shapes(self.p, game, i), with_bad=True)
+            comp = _lean(self.p, game, i, with_bad=True)
             self._cells[key] = {
                 o: estimate_pr_true(mapc(comp, lambda x, _o=o: x == _o), self.trials, self.seed)
                 for o in ((True, True), (True, False), (False, True), (False, False))
@@ -714,7 +720,7 @@ class GameEvaluator:
         if key not in self._pr:
             joint = self._exact(game, i)
             if joint is None:
-                comp = sampler(self.p, game, _call_shapes(self.p, game, i))
+                comp = _lean(self.p, game, i)
                 value = Iv.of_estimate(estimate_pr_true(comp, self.trials, self.seed))
             else:
                 value = Iv.of_fraction(sum((pr for (a, _), pr in joint.items() if a), Fraction(0)))
@@ -1026,7 +1032,7 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     out = []
     for game, eta, nc, bpc, adversary, adv_name, i in CALIBRATION_SPECS:
         p = HybridParams(eta, nc, bpc, adversary=adversary)
-        comp = sampler(p, game, _call_shapes(p, game, i))
+        comp = _lean(p, game, i)
         exact = exact_dist(comp, max_path_bits=18).pr_true
         where = "" if i is None else f" i={i}"
         name = f"{game}{where} eta={eta} calls={nc} blocks={bpc} adv={adv_name}"

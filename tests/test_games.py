@@ -475,10 +475,6 @@ class TestEvaluatorModes:
                 games.gi_prg(p, 7)
 
 
-def lean(p: HybridParams, game: str, i=None, with_bad=False):
-    return games.sampler(p, game, games._call_shapes(p, game, i), with_bad)
-
-
 def faithful(p: HybridParams, game: str, i=None, with_bad=False):
     if with_bad:
         return {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}[game](p, i)
@@ -499,7 +495,7 @@ def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
                 jobs += [(game, j, with_bad) for game in ("gi_rf", "gi_rb") for j in range(nc)
                          for with_bad in (False, True)]
                 for job in jobs:
-                    got = [sample(lean(p, *job), seed) for seed in range(trials)]
+                    got = [sample(games._lean(p, *job), seed) for seed in range(trials)]
                     want = [sample(faithful(p, *job), seed) for seed in range(trials)]
                     if got != want:
                         out.append(((eta, nc, bpc),) + job)
@@ -513,7 +509,7 @@ def calibration_mismatches(trials: int = 100) -> list[int]:
     for j, (game, eta, nc, bpc, adversary, _, i) in enumerate(CALIBRATION_SPECS):
         p = params(eta, nc, bpc, adversary=adversary)
         hits = [estimate_pr_true(comp(p, game, i), trials, 0xCA11 + j).hits
-                for comp in (lean, faithful)]
+                for comp in (games._lean, faithful)]
         if hits[0] != hits[1]:
             out.append(j)
     return out
