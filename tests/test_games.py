@@ -733,6 +733,13 @@ class TestSeededHitCounts:
         1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 100,
         0, 0, 0, 100, 0, 0, 0, 100, 0, 0, 0, 100, 0, 0,
     ]
+    # the same for a plain adversary that ORs its own coin with an order
+    # test: its coins come last, after every output. Recorded before the
+    # lean sampler folded the adversary instead of collecting its outputs
+    ETA16_COIN = [
+        77, 77, 77, 75, 79, 78, 76, 82, 84, 77, 77, 0, 77, 0, 23,
+        0, 77, 0, 23, 0, 77, 0, 23, 0, 77, 0, 23, 77, 77,
+    ]
     # calibration_games() at 100 trials, seed 0xCA11 + j for game j
     CALIBRATION = [
         100, 97, 65, 100, 90, 59, 46, 100, 96, 90,
@@ -762,6 +769,9 @@ class TestSeededHitCounts:
 
     def test_eta16_collision_suite(self, monkeypatch):
         assert self.suite_hits(monkeypatch, collision_detector) == self.ETA16_COLLISION
+
+    def test_eta16_coin_suite(self, monkeypatch):
+        assert self.suite_hits(monkeypatch, TestEvaluatorModes.PLAIN[1]) == self.ETA16_COIN
 
     def test_calibration_games(self, calibration):
         hits = [
