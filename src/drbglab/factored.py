@@ -33,6 +33,14 @@ unchanged. Unlike the propagator, it draws every block eagerly, in the
 faithful tree's order, because a seeded trial must give the faithful
 tree's outcome. Its oracle trace is a small per-trial dict, since
 setting a field of a (eta+1)·2^eta-bit int costs too much at eta 16.
+
+Both interpreters fold the adversary the same way: each visible output
+goes through ``adversary.absorb``, and a final fold state's Comp of
+bool comes from ``adversary.answer``. The propagator reads a ``Return``
+answer directly and enumerates any other; the sampler ends its path
+with the answer, so the adversary's own coins are drawn last.
+``exact_dist`` on the lean computation shares each prefix's fold among
+all the leaves below it.
 """
 
 from __future__ import annotations
@@ -40,8 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .prf import Block
-from .prob import Comp, Sample, mapc
+from .prob import Comp, Return, Sample, exact_dist, mapc, truth
 
 if TYPE_CHECKING:
     from .games import HybridParams
@@ -226,7 +233,11 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
 
     joint: dict[tuple[bool, bool], Fraction] = {}
     for (adv_state, bad), mass in merge(((st[0], st[3]), m) for st, m in dist.items()).items():
-        p_true = adv.finish_pr(adv_state)
+        answer = adv.answer(adv_state)
+        if isinstance(answer, Return):
+            p_true = Fraction(truth(answer.value))
+        else:  # the adversary's own coins
+            p_true = exact_dist(answer).pr_true
         for answer, share in ((True, p_true), (False, 1 - p_true)):
             if share:
                 key = (answer, bad)
@@ -236,10 +247,10 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
 
 # ---------------------------------------------------------------- the sampler
 #
-# One path per trial over the propagator's slots, except that the
-# adversary slot holds the output values so far and the oracle slot a
-# dict from query input to answer. Each op is (wants, fn): whether it
-# draws a block in this state, and the state it leaves.
+# One path per trial over the propagator's slots, the adversary slot
+# holding its fold, except that the oracle slot holds a dict from query
+# input to answer. Each op is (wants, fn): whether it draws a block in
+# this state, and the state it leaves.
 
 
 def _always(st: tuple) -> bool:
@@ -258,13 +269,11 @@ def _drop(st: tuple, x: int | None) -> tuple:
     return st
 
 
-def _transcript(outs: tuple, value: int, eta: int) -> tuple:
-    return outs + (value,)
-
-
 def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Comp:
     """The lean computation of a game whose generate calls have these
-    shapes: the adversary's result, or ``(result, bad)`` with_bad. It
+    shapes: the adversary's result, or ``(result, bad)`` with_bad. Every
+    visible output is absorbed into the adversary's fold, as the
+    propagator does, and the path ends with the fold's ``answer``. It
     draws every eta-bit block the faithful tree draws, in the same order:
 
     - gi_prf draws its oracle key first, and every game but g_ideal then
@@ -272,15 +281,16 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     - an ideal call draws its blocks in order;
     - an rb query always draws, an rf query only on a new input, and the
       rekey query always;
-    - the adversary runs last on Blocks, so its own coins come last.
+    - the adversary answers last, so its own coins come last.
     """
-    eta, n = p.eta, p.blocks_per_call
+    eta, n, adv = p.eta, p.blocks_per_call, p.adversary
+    absorb = adv.absorb
 
     def into(slot: int) -> Callable[[tuple, int | None], tuple]:
         return lambda st, x: st[:slot] + (x,) + st[slot + 1 :]
 
     def ideal_block(st: tuple, x: int | None) -> tuple:
-        return st[ADV] + (x,), st[K], x, st[BAD], st[ORC]
+        return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]
 
     def query(cache: bool, visible: bool) -> Callable[[tuple, int | None], tuple]:
         """A chain query of call i: its input is v and its answer becomes
@@ -294,7 +304,7 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
                     x = trace[v]
             else:
                 trace = {**trace, v: x}
-            return (outs + (x,) if visible else outs), k, x, bad, trace
+            return (absorb(outs, x, eta) if visible else outs), k, x, bad, trace
 
         return op
 
@@ -316,7 +326,7 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
         else:  # a deterministic call; prf mode runs on the oracle key in the k slot
             if shape == "prf":
                 shape = "nov" if c == 0 else "v"
-            ops.append((_never, generate(p, shape, _transcript)))
+            ops.append((_never, generate(p, shape, absorb)))
 
     def go(pc: int, st: tuple) -> Comp:
         for pc in range(pc, len(ops)):
@@ -324,8 +334,7 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
             if wants(st):
                 return Sample(eta, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
             st = fn(st, None)
-        outs = [Block(eta, x) for x in st[ADV]]
-        result = p.adversary([outs[c : c + n] for c in range(0, len(outs), n)])
+        result = adv.answer(st[ADV])
         return mapc(result, lambda answer, _bad=st[BAD]: (answer, _bad)) if with_bad else result
 
-    return go(0, ((), None, None, False, {}))
+    return go(0, (adv.initial(), None, None, False, {}))

@@ -74,10 +74,16 @@ class KV(NamedTuple):
 # --------------------------------------------------------------- adversaries
 #
 # An adversary is a callable from the full output (list of per-call lists
-# of Blocks) to a Comp of bool. The factored evaluator folds it block by
-# block through a protocol (initial/absorb/finish_pr/state_bound). The
-# built-in adversaries fold into a few states; HybridParams wraps any
-# other callable in a _TranscriptFold.
+# of Blocks) to a Comp of bool. Both interpreters of the call shapes,
+# the factored evaluator and the lean sampler, fold it block by block
+# through one protocol: initial() is the empty fold, absorb(state, value,
+# eta) takes one output block's int value, answer(state) is the Comp of
+# bool the adversary returns on that output, and state_bound(eta,
+# total_blocks) bounds the distinct states, for the factored evaluator's
+# admission rule. answer's own coins are drawn after every output, as in
+# the faithful trees. The built-in adversaries fold into a few states and
+# answer with a Return; HybridParams wraps any other callable in a
+# _TranscriptFold.
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,8 @@ class ConstantAdversary:
     def absorb(self, state: Any, value: int, eta: int) -> Any:
         return None
 
-    def finish_pr(self, state: Any) -> Fraction:
-        return Fraction(1 if self.result else 0)
+    def answer(self, state: Any) -> Comp:
+        return Return(self.result)
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 1
@@ -118,8 +124,8 @@ class FirstBitAdversary:
             return (value >> (eta - 1)) & 1
         return state
 
-    def finish_pr(self, state: Any) -> Fraction:
-        return Fraction(1 if state == 1 else 0)
+    def answer(self, state: Any) -> Comp:
+        return Return(state == 1)
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 3
@@ -153,8 +159,8 @@ class CollisionAdversary:
             return _DUP
         return state | {value}
 
-    def finish_pr(self, state: Any) -> Fraction:
-        return Fraction(1 if state == _DUP else 0)
+    def answer(self, state: Any) -> Comp:
+        return Return(state == _DUP)
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         space = 1 << eta
@@ -173,16 +179,18 @@ def constant(result: bool) -> ConstantAdversary:
 first_bit = FirstBitAdversary()
 collision_detector = CollisionAdversary()
 
-_FOLD_PROTOCOL = ("initial", "absorb", "finish_pr", "state_bound")
+_FOLD_PROTOCOL = ("initial", "absorb", "answer", "state_bound")
 
 
 @dataclass(frozen=True)
 class _TranscriptFold:
     """The fold of a plain callable adversary: its state is the tuple of
-    absorbed block values. finish_pr regroups them into per-call Blocks
-    and enumerates the adversary's own coins with ``exact_dist``, so a
-    path may use at most that function's default 24 random bits. Calling
-    the fold calls the adversary, so the faithful trees are unchanged."""
+    absorbed block values. answer regroups them into per-call Blocks and
+    runs the adversary on them, so its own coins come last, as in the
+    faithful tree; the factored evaluator enumerates them with
+    ``exact_dist``, so a path may use at most that function's default 24
+    random bits. Calling the fold calls the adversary, so the faithful
+    trees are unchanged."""
 
     adversary: Callable[[list[list[Block]]], Comp]
     eta: int
@@ -197,10 +205,10 @@ class _TranscriptFold:
     def absorb(self, state: Any, value: int, eta: int) -> Any:
         return state + (value,)
 
-    def finish_pr(self, state: Any) -> Fraction:
+    def answer(self, state: Any) -> Comp:
         n = self.blocks_per_call
         outputs = [[Block(self.eta, x) for x in state[c : c + n]] for c in range(0, len(state), n)]
-        return exact_dist(self.adversary(outputs)).pr_true
+        return self.adversary(outputs)
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 1 << (eta * total_blocks)  # every full transcript

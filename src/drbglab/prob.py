@@ -143,6 +143,16 @@ def run_with_oracle(comp: Comp, oracle: Oracle) -> Comp:
     return go(comp, None, oracle.initial_state)
 
 
+def truth(value: Any) -> bool:
+    """A game's answer, which must be a bool. Enumeration and sampling
+    read answers by this one rule: ``1 == True`` shares a dict key with
+    True, but ``1 is True`` fails, so a lenient rule would make the two
+    disagree."""
+    if value is True or value is False:
+        return value
+    raise ValueError(f"a game's answer must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Finite map from outcomes to exact rational probabilities."""
@@ -167,7 +177,10 @@ class Distribution:
 
     @property
     def pr_true(self) -> Fraction:
-        """Mass on True — the quantity game lemmas compare."""
+        """Mass on True — the quantity game lemmas compare. Every
+        outcome must be a bool (see :func:`truth`)."""
+        for v, _ in self.probs:
+            truth(v)
         return self.pr(True)
 
     def support(self) -> list[Any]:
@@ -358,13 +371,14 @@ def estimate_pr_true(
     comp: Comp, trials: int, seed: int, confidence: float = 0.99
 ) -> AdvantageEstimate:
     """Frequency of True over ``trials`` runs with a Clopper-Pearson
-    two-sided confidence interval (exact binomial).
+    two-sided confidence interval (exact binomial). Every outcome must
+    be a bool (see :func:`truth`).
 
     Per-trial seeds are ``seed + i``, so the result does not depend on
     how trials are scheduled.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    hits = sum(1 for i in range(trials) if sample(comp, seed + i) is True)
+    hits = sum(truth(sample(comp, seed + i)) for i in range(trials))
     low, high = clopper_pearson(hits, trials, confidence)
     return AdvantageEstimate(hits, low, high, trials)

@@ -6,6 +6,7 @@ smallest sizes that still distinguish right from wrong.
 """
 
 import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -165,14 +166,29 @@ class TestAdversaries:
         miss = exact_dist(collision_detector([[Block(2, 1)], [Block(2, 2)]]))
         assert hit.pr_true == 1 and miss.pr_true == 0
 
-    def test_collision_fold_agrees_with_call(self):
-        adv = CollisionAdversary()
-        outputs = [[Block(2, 1), Block(2, 3)], [Block(2, 3)]]
-        st = adv.initial()
-        for sub in outputs:
-            for b in sub:
-                st = adv.absorb(st, b.value, 2)
-        assert adv.finish_pr(st) == exact_dist(adv(outputs)).pr_true == 1
+    @pytest.mark.parametrize(
+        "name", ["collision", "first-bit", "constant-true", "constant-false", "plain-coin"]
+    )
+    def test_fold_agrees_with_call(self, name):
+        # answer on the fold of every transcript of 1-3 blocks at eta 2,
+        # grouped into calls every way, is the adversary's own call on
+        # those outputs, its coins included
+        adv = {
+            "collision": CollisionAdversary(),
+            "first-bit": first_bit,
+            "constant-true": constant(True),
+            "constant-false": constant(False),
+            "plain-coin": TestEvaluatorModes.PLAIN[1],
+        }[name]
+        for nc, bpc in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3)):
+            fold = params(2, nc, bpc, adversary=adv).adversary
+            for values in itertools.product(range(4), repeat=nc * bpc):
+                st = fold.initial()
+                for x in values:
+                    st = fold.absorb(st, x, 2)
+                outputs = [[Block(2, x) for x in values[c : c + bpc]]
+                           for c in range(0, nc * bpc, bpc)]
+                assert exact_dist(fold.answer(st)) == exact_dist(fold(outputs)), values
 
     def test_first_bit_and_constant(self):
         assert exact_dist(first_bit([[Block(2, 2)]])).pr_true == 1
@@ -398,6 +414,15 @@ class TestEvaluatorModes:
             for j in range(nc):
                 for game, tree in (("gi_rb", gi_rb_bad), ("gi_rf", gi_rf_dups_bad)):
                     assert ev._exact(game, j) == dict(exact_dist(tree(p, j)).items()), (game, j)
+
+    @pytest.mark.parametrize("point,mode", [((2, 2, 2), "exact"), ((16, 1, 1), "monte-carlo")])
+    def test_non_bool_answer_is_refused(self, point, mode):
+        # 1 == True, so enumeration would count Return(1) as True while
+        # sampling would not: both modes refuse it by one rule
+        ev = GameEvaluator(params(*point, adversary=lambda outs: Return(1)), trials=100)
+        assert ev.mode == mode
+        with pytest.raises(ValueError, match="must be a bool, got 1"):
+            ev.pr("g_real")
             assert ev.mode == "exact"
 
     @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 2), (3, 2, 1)])
@@ -549,8 +574,8 @@ class TestLeanSampler:
 
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
     # Selection", IEEE Computer 1978): each one-line change to the
-    # sampler's draw order must fail a named pin. (what the mutant does,
-    # the line, its mutation, the pin that kills it)
+    # sampler's draw order or to its fold must fail a named pin. (what the
+    # mutant does, the line, its mutation, the pin that kills it)
     MUTANTS = [
         # only coins drawn after the shifted blocks show it: a cache hit
         # repeats an output, so a collision is seen either way, and the
@@ -566,6 +591,15 @@ class TestLeanSampler:
         ("gi_prf draws its key after k and v",
          "ops = [(_always, into(K)), (_always, _drop), (_always, into(V))]",
          "ops = [(_always, _drop), (_always, into(V)), (_always, into(K))]",
+         "calibration"),
+        # the fold, not the draw order: what the adversary sees
+        ("a hidden v-update query is absorbed",
+         "(absorb(outs, x, eta) if visible else outs)",
+         "absorb(outs, x, eta)",
+         "calibration"),
+        ("an ideal block is not absorbed",
+         "return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]",
+         "return st[ADV], st[K], x, st[BAD], st[ORC]",
          "calibration"),
     ]
     PINS = {

@@ -239,6 +239,14 @@ class TestEstimate:
         never = estimate_pr_true(Return(False), trials=200, seed=0)
         assert never.estimate == 0.0 and never.ci_low == 0.0
 
+    def test_non_bool_outcome_is_refused(self):
+        # 1 == True shares True's dict key, so enumeration and sampling
+        # read answers by one rule: a bool or an error
+        with pytest.raises(ValueError, match="got 1"):
+            exact_dist(Return(1)).pr_true
+        with pytest.raises(ValueError, match="got 1"):
+            estimate_pr_true(Return(1), trials=100, seed=0)
+
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
             estimate_pr_true(Return(True), trials=99, seed=0)
