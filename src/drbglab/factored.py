@@ -231,18 +231,19 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
         else:
             dist = merge((clear(fn(st, x)), mass) for st, mass in dist.items() for x in xs)
 
-    joint: dict[tuple[bool, bool], Fraction] = {}
+    # masses over 2^bits: an int while every answer is a Return
+    joint: dict[tuple[bool, bool], int | Fraction] = {}
     for (adv_state, bad), mass in merge(((st[0], st[3]), m) for st, m in dist.items()).items():
         answer = adv.answer(adv_state)
         if isinstance(answer, Return):
-            p_true = Fraction(truth(answer.value))
+            shares = ((truth(answer.value), mass),)
         else:  # the adversary's own coins
             p_true = exact_dist(answer).pr_true
-        for answer, share in ((True, p_true), (False, 1 - p_true)):
+            shares = ((True, mass * p_true), (False, mass * (1 - p_true)))
+        for value, share in shares:
             if share:
-                key = (answer, bad)
-                joint[key] = joint.get(key, Fraction(0)) + Fraction(mass, 1 << bits) * share
-    return joint
+                joint[value, bad] = joint.get((value, bad), 0) + share
+    return {key: Fraction(mass, 1 << bits) for key, mass in joint.items()}
 
 
 # ---------------------------------------------------------------- the sampler
