@@ -32,8 +32,9 @@ The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and
 estimates it by Monte Carlo otherwise. Monte Carlo samples a lean
 computation compiled from the same call shapes (``factored.sampler``):
-int blocks, ``prf_int`` as the only PRF, and every block drawn in the
-faithful tree's order, so each seed gives the faithful tree's outcome.
+int blocks, ``prf_int`` as the only PRF, the adversary folded as the
+factored evaluator folds it, and every block drawn in the faithful
+tree's order, so each seed gives the faithful tree's outcome.
 Tests pin it trial by trial to the faithful trees.
 """
 

@@ -414,6 +414,7 @@ class TestEvaluatorModes:
             for j in range(nc):
                 for game, tree in (("gi_rb", gi_rb_bad), ("gi_rf", gi_rf_dups_bad)):
                     assert ev._exact(game, j) == dict(exact_dist(tree(p, j)).items()), (game, j)
+            assert ev.mode == "exact"
 
     @pytest.mark.parametrize("point,mode", [((2, 2, 2), "exact"), ((16, 1, 1), "monte-carlo")])
     def test_non_bool_answer_is_refused(self, point, mode):
@@ -423,7 +424,6 @@ class TestEvaluatorModes:
         assert ev.mode == mode
         with pytest.raises(ValueError, match="must be a bool, got 1"):
             ev.pr("g_real")
-            assert ev.mode == "exact"
 
     @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 2), (3, 2, 1)])
     def test_plain_adversary_prints_the_native_lines(self, eta, nc, bpc):
