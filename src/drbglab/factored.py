@@ -26,21 +26,29 @@ reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007).
 The oracle state is one int with an (eta+1)-bit field per input: 0 for
 an input not yet queried, else answer+1 under rf and 1 under rb.
 
-The sampler compiles the same shapes into a lean ``prob`` computation:
-plain ``Sample`` nodes over int blocks, with ``prf_int`` as the only
-PRF, so ``prob.sample``, ``exact_dist`` and ``estimate_pr_true`` run it
-unchanged. Unlike the propagator, it draws every block eagerly, in the
-faithful tree's order, because a seeded trial must give the faithful
-tree's outcome. Its oracle trace is a small per-trial dict, since
-setting a field of a (eta+1)·2^eta-bit int costs too much at eta 16.
+The sampler compiles the same shapes into one list of ops over int
+blocks, with ``prf_int`` as the only PRF. Each op carries its draw rule
+as data: always, never, or only on a new oracle input. Unlike the
+propagator, it draws every block eagerly, in the faithful tree's order,
+because a seeded trial must give the faithful tree's outcome. Its oracle
+trace is a small per-trial dict, since setting a field of a
+(eta+1)·2^eta-bit int costs too much at eta 16. Two interpreters read
+the op list, and the sampler returns both in one ``prob.Flat`` node: a
+Comp with one ``Sample`` node per drawn block, which ``exact_dist``
+enumerates, and a runner, one loop over the ops on a trial's SplitMix64
+stream, which ``prob.sample`` calls. So ``prob.sample``, ``exact_dist``
+and ``estimate_pr_true`` run it unchanged, and a trial builds no node
+before the adversary answers.
 
-Both interpreters fold the adversary the same way: each visible output
-goes through ``adversary.absorb``, and a final fold state's Comp of
-bool comes from ``adversary.answer``. The propagator reads a ``Return``
-answer directly and enumerates any other; the sampler ends its path
-with the answer, so the adversary's own coins are drawn last.
-``exact_dist`` on the lean computation shares each prefix's fold among
-all the leaves below it.
+The propagator and the sampler fold the adversary the same way: each
+visible output goes through ``adversary.absorb``, and a final fold
+state's Comp of bool comes from ``adversary.answer``. The propagator
+reads a ``Return`` answer directly and enumerates any other; the sampler
+ends its path with the answer, so the adversary's own coins are drawn
+last. Both read every leaf of the answer by ``prob.truth`` before it is
+keyed, so a non-bool answer raises at its own leaf. ``exact_dist`` on
+the lean computation shares each prefix's fold among all the leaves
+below it.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .prob import Comp, Return, Sample, exact_dist, mapc, truth
+from .prob import Comp, Flat, Return, Sample, exact_dist, mapc, truth
 
 if TYPE_CHECKING:
     from .games import HybridParams
@@ -238,7 +246,7 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
         if isinstance(answer, Return):
             shares = ((truth(answer.value), mass),)
         else:  # the adversary's own coins
-            p_true = exact_dist(answer).pr_true
+            p_true = exact_dist(mapc(answer, truth)).pr_true
             shares = ((True, mass * p_true), (False, mass * (1 - p_true)))
         for value, share in shares:
             if share:
@@ -250,32 +258,23 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
 #
 # One path per trial over the propagator's slots, the adversary slot
 # holding its fold, except that the oracle slot holds a dict from query
-# input to answer. Each op is (wants, fn): whether it draws a block in
-# this state, and the state it leaves.
+# input to answer. Each op is (rule, fn): when it draws a block, as data
+# that both the Comp and the runner read, and the state it leaves.
 
-
-def _always(st: tuple) -> bool:
-    return True
-
-
-def _never(st: tuple) -> bool:
-    return False
-
-
-def _new_input(st: tuple) -> bool:
-    return st[V] not in st[ORC]
+ALWAYS, NEVER, NEW_INPUT = "always", "never", "new input"  # an op's draw rule
 
 
 def _drop(st: tuple, x: int | None) -> tuple:
     return st
 
 
-def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Comp:
+def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Flat:
     """The lean computation of a game whose generate calls have these
     shapes: the adversary's result, or ``(result, bad)`` with_bad. Every
     visible output is absorbed into the adversary's fold, as the
-    propagator does, and the path ends with the fold's ``answer``. It
-    draws every eta-bit block the faithful tree draws, in the same order:
+    propagator does, and the path ends with the fold's ``answer``, each
+    of its leaves read by ``prob.truth``. It draws every eta-bit block
+    the faithful tree draws, in the same order:
 
     - gi_prf draws its oracle key first, and every game but g_ideal then
       draws the instantiate k and v, whether or not anything reads them;
@@ -283,6 +282,11 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     - an rb query always draws, an rf query only on a new input, and the
       rekey query always;
     - the adversary answers last, so its own coins come last.
+
+    The result is a ``prob.Flat``: its comp is a tree of ``Sample``
+    nodes, one per drawn block, which ``exact_dist`` enumerates, and its
+    runner is one loop over the same ops on the trial's stream, which
+    ``prob.sample`` calls.
     """
     eta, n, adv = p.eta, p.blocks_per_call, p.adversary
     absorb = adv.absorb
@@ -310,32 +314,49 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
         return op
 
     if game == "gi_prf":  # the oracle's own key, then an instantiate k nothing reads
-        ops = [(_always, into(K)), (_always, _drop), (_always, into(V))]
+        ops = [(ALWAYS, into(K)), (ALWAYS, _drop), (ALWAYS, into(V))]
     elif game != "g_ideal":
-        ops = [(_always, into(K)), (_always, into(V))]
+        ops = [(ALWAYS, into(K)), (ALWAYS, into(V))]
     else:
         ops = []
     for c, shape in enumerate(shapes):
         if shape == "ideal":
-            ops += [(_always, ideal_block)] * n
+            ops += [(ALWAYS, ideal_block)] * n
         elif shape in ("rf", "rb"):
-            fresh = _new_input if shape == "rf" else _always
+            rule = NEW_INPUT if shape == "rf" else ALWAYS
             if c > 0:  # the v update that leads the call is a hidden query
-                ops.append((fresh, query(shape == "rf", visible=False)))
-            ops += [(fresh, query(shape == "rf", visible=True))] * n
-            ops.append((_always, into(K)))  # the rekey query: its padded input never repeats
+                ops.append((rule, query(shape == "rf", visible=False)))
+            ops += [(rule, query(shape == "rf", visible=True))] * n
+            ops.append((ALWAYS, into(K)))  # the rekey query: its padded input never repeats
         else:  # a deterministic call; prf mode runs on the oracle key in the k slot
             if shape == "prf":
                 shape = "nov" if c == 0 else "v"
-            ops.append((_never, generate(p, shape, absorb)))
+            ops.append((NEVER, generate(p, shape, absorb)))
+
+    def finish(st: tuple) -> Comp:
+        answer = adv.answer(st[ADV])
+        if with_bad:
+            return mapc(answer, lambda a, _bad=st[BAD]: (truth(a), _bad))
+        if isinstance(answer, Return) and (answer.value is True or answer.value is False):
+            return answer  # what truth would pass through
+        return mapc(answer, truth)
 
     def go(pc: int, st: tuple) -> Comp:
         for pc in range(pc, len(ops)):
-            wants, fn = ops[pc]
-            if wants(st):
+            rule, fn = ops[pc]
+            if rule is ALWAYS or rule is NEW_INPUT and st[V] not in st[ORC]:
                 return Sample(eta, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
             st = fn(st, None)
-        result = adv.answer(st[ADV])
-        return mapc(result, lambda answer, _bad=st[BAD]: (answer, _bad)) if with_bad else result
+        return finish(st)
 
-    return go(0, (adv.initial(), None, None, False, {}))
+    def run(stream: Any) -> Comp:
+        bits, st = stream.bits, start
+        for rule, fn in ops:
+            if rule is NEVER or rule is NEW_INPUT and st[V] in st[ORC]:
+                st = fn(st, None)
+            else:
+                st = fn(st, bits(eta))
+        return finish(st)
+
+    start = (adv.initial(), None, None, False, {})
+    return Flat(go(0, start), run)

@@ -1,12 +1,16 @@
 """A small exact-probability monad for finite randomized computations.
 
-A computation is a finite tree built from four node kinds:
+A computation is a finite tree built from five node kinds:
 
 - ``Return(value)`` — a finished computation;
 - ``Sample(width, k)`` — draw a uniform integer in ``[0, 2**width)`` and
   continue with ``k(drawn)``;
 - ``Query(input, k)`` — ask an oracle and continue with ``k(answer)``;
-- ``Bind(comp, f)`` — run ``comp``, then continue with ``f(result)``.
+- ``Bind(comp, f)`` — run ``comp``, then continue with ``f(result)``;
+- ``Flat(comp, run)`` — the plain computation ``comp`` with a faster
+  runner for sampling: ``run(stream)`` draws from the trial's stream
+  exactly what ``comp`` would draw and returns the computation left
+  over, so a sampled run continues from there on the same stream.
 
 :func:`bind` is constant-time: it collapses ``bind(Return(v), f)`` to
 ``f(v)`` and otherwise builds one ``Bind`` node, without touching the
@@ -25,7 +29,8 @@ Two semantics are provided: :func:`exact_dist` enumerates every sample
 path and returns exact rational probabilities (``fractions.Fraction``),
 and :func:`sample` runs one pseudorandom path from a 64-bit seed using a
 SplitMix64 stream, so Monte Carlo estimates are reproducible across
-platforms and parallel schedules.
+platforms and parallel schedules. Enumeration and :func:`run_with_oracle`
+expand a ``Flat`` node's ``comp``; only :func:`sample` calls its runner.
 """
 
 from __future__ import annotations
@@ -69,7 +74,18 @@ class Bind:
     f: Callable[[Any], "Comp"]
 
 
-Comp = Return | Sample | Query | Bind
+@dataclass(frozen=True)
+class Flat:
+    """``comp``, with ``run(stream)`` to sample it: run draws from the
+    trial's :class:`_SplitMix64` what ``comp`` draws on that path, in the
+    same order, and returns the computation ``comp`` would continue with
+    (at the latest its ``Return``). Tests pin the two to each other."""
+
+    comp: "Comp"
+    run: Callable[["_SplitMix64"], "Comp"]
+
+
+Comp = Return | Sample | Query | Bind | Flat
 
 # pending continuations, innermost first: None or (f, rest)
 _Konts = tuple[Callable[[Any], Comp], "_Konts"] | None
@@ -85,7 +101,7 @@ def bind(comp: Comp, f: Callable[[Any], Comp]) -> Comp:
 def _head(c: Comp, ks: _Konts) -> tuple[Comp, _Konts]:
     """Normalize ``c`` under the continuations ``ks``: push every Bind's
     continuation and feed every Return to the innermost one, until a
-    Sample or Query is at the head or a Return is left with none."""
+    Sample, Query or Flat is at the head or a Return is left with none."""
     while True:
         if isinstance(c, Bind):
             ks = (c.f, ks)
@@ -130,6 +146,9 @@ def run_with_oracle(comp: Comp, oracle: Oracle) -> Comp:
     def go(c: Comp, ks: _Konts, state: Any) -> Comp:
         while True:
             c, ks = _head(c, ks)
+            if isinstance(c, Flat):
+                c = c.comp
+                continue
             if isinstance(c, Return):
                 return Return((c.value, state))
             if isinstance(c, Sample):
@@ -224,17 +243,19 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
         c, rest = _head(c, ks)
         if isinstance(c, Return):
             acc[c.value] = acc.get(c.value, 0) + (1 << (max_path_bits - bits))
-        elif isinstance(c, Query):
+        elif isinstance(c, Sample):
+            if bits + c.width > max_path_bits:
+                raise EnumerationCapExceeded(
+                    f"path needs more than {max_path_bits} random bits"
+                )
+            stack.append((map(c.k, range(1 << c.width)), bits + c.width, rest))
+        elif isinstance(c, Flat):  # a branch of one: the computation it carries
+            stack.append((iter((c.comp,)), bits, rest))
+        else:
             raise TypeError(
                 "computation still contains Query nodes; "
                 "apply run_with_oracle first"
             )
-        elif bits + c.width > max_path_bits:
-            raise EnumerationCapExceeded(
-                f"path needs more than {max_path_bits} random bits"
-            )
-        else:
-            stack.append((map(c.k, range(1 << c.width)), bits + c.width, rest))
     total = 1 << max_path_bits
     return Distribution.from_dict({v: Fraction(m, total) for v, m in acc.items()})
 
@@ -281,12 +302,15 @@ def sample(comp: Comp, seed: int) -> Any:
     stream = _SplitMix64(seed)
     c, ks = _head(comp, None)
     while not isinstance(c, Return):
-        if isinstance(c, Query):
+        if isinstance(c, Sample):
+            c, ks = _head(c.k(stream.bits(c.width)), ks)
+        elif isinstance(c, Flat):
+            c, ks = _head(c.run(stream), ks)
+        else:
             raise TypeError(
                 "computation still contains Query nodes; "
                 "apply run_with_oracle first"
             )
-        c, ks = _head(c.k(stream.bits(c.width)), ks)
     return c.value
 
 

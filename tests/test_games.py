@@ -49,11 +49,16 @@ from drbglab.games import (
 from drbglab.prf import Block, prf_small
 from drbglab.prob import (
     EnumerationCapExceeded,
+    Flat,
+    Oracle,
     Return,
+    bind,
     clopper_pearson,
     estimate_pr_true,
     exact_dist,
     mapc,
+    query,
+    run_with_oracle,
     sample,
     sample_bits,
 )
@@ -231,22 +236,33 @@ class TestFastAgainstEnumeration:
 
     @pytest.mark.parametrize("eta,nc,bpc", GRID)
     def test_joint_bad_distributions_match(self, eta, nc, bpc):
-        # pr("gi_rf"/"gi_rb") is this joint's answer mass, so one
-        # enumeration per oracle game pins the joint and the win probability
-        for adv in (collision_detector, first_bit):
-            p = HybridParams(eta, nc, bpc, adversary=adv)
-            ev = GameEvaluator(p)
-            for j in range(nc):
-                for oracle, builder in (("rb", gi_rb_bad), ("rf", gi_rf_dups_bad)):
-                    want = exact_dist(builder(p, j), max_path_bits=20)
+        # each faithful rf/rb tree is enumerated once, with a plain
+        # adversary that returns its transcript; an adversary's faithful
+        # joint is then its own answer's distribution over those
+        # transcripts. pr("gi_rf"/"gi_rb") is the joint's answer mass, so
+        # one enumeration per oracle game pins the joint and the win
+        # probability of all four adversaries
+        advs = (collision_detector, first_bit, constant(True), TestEvaluatorModes.PLAIN[1])
+        transcript = lambda outs: Return(tuple(tuple(b.value for b in sub) for sub in outs))
+        p = HybridParams(eta, nc, bpc, adversary=transcript)
+        evaluators = [GameEvaluator(params(eta, nc, bpc, adversary=adv)) for adv in advs]
+        for j in range(nc):
+            for oracle, builder in (("rb", gi_rb_bad), ("rf", gi_rf_dups_bad)):
+                runs = exact_dist(builder(p, j), max_path_bits=20)
+                for adv, ev in zip(advs, evaluators):
+                    want: dict = {}
+                    for (outs, bad), pr in runs.items():
+                        answers = exact_dist(adv([[Block(eta, x) for x in sub] for sub in outs]))
+                        for answer, q in answers.items():
+                            want[answer, bad] = want.get((answer, bad), F(0)) + pr * q
                     joint = ev._exact(f"gi_{oracle}", j)
-                    assert joint == dict(want.items()), (adv, oracle, j)
+                    assert joint == want, (adv, oracle, j)
                     answer_true = sum((pr for (a, _), pr in joint.items() if a), F(0))
                     assert ev.pr(f"gi_{oracle}", j).mid == answer_true
                     for answer in (True, False):
                         no_bad = ev.pr_joint_no_bad(oracle, j, answer).mid
-                        assert no_bad == want.pr((answer, False))
-            assert ev.mode == "exact"
+                        assert no_bad == want.get((answer, False), F(0))
+        assert all(ev.mode == "exact" for ev in evaluators)
 
 
 class TestBadEvent:
@@ -425,6 +441,21 @@ class TestEvaluatorModes:
         with pytest.raises(ValueError, match="must be a bool, got 1"):
             ev.pr("g_real")
 
+    @pytest.mark.parametrize("point,mode", [((2, 2, 2), "exact"), ((16, 1, 1), "monte-carlo")])
+    def test_non_bool_leaf_is_refused(self, point, mode):
+        # the answer is read leaf by leaf before any leaves merge: keyed
+        # as it came, 1 would merge into True when True came first
+        mixed = lambda outs: bind(sample_bits(1), lambda b: Return(1 if b else True))
+        p = params(*point, adversary=mixed)
+        for ask in (lambda ev: ev.pr("g_real"), lambda ev: ev.pr_bad("rf", 0)):
+            ev = GameEvaluator(p, trials=100)
+            assert ev.mode == mode
+            with pytest.raises(ValueError, match="must be a bool, got 1"):
+                ask(ev)
+        if mode == "exact":  # the enumeration calibration_games() runs
+            with pytest.raises(ValueError, match="must be a bool, got 1"):
+                exact_dist(games._lean(p, "g_real", None))
+
     @pytest.mark.parametrize("eta,nc,bpc", [(2, 2, 2), (3, 2, 1)])
     def test_plain_adversary_prints_the_native_lines(self, eta, nc, bpc):
         for native in (collision_detector, first_bit):
@@ -506,11 +537,9 @@ def faithful(p: HybridParams, game: str, i=None, with_bad=False):
     return build_game(p, game, i)
 
 
-def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
+def grid_jobs(adversary):
     """The games of the eta 1..3 x calls 1..3 x blocks 1..2 grid, each
-    oracle game also with its bad flag, whose lean and faithful trees
-    differ in the outcome of some seeded trial."""
-    out = []
+    oracle game also with its bad flag, as (params, (game, i, with_bad))."""
     for eta in (1, 2, 3):
         for nc in (1, 2, 3):
             for bpc in (1, 2):
@@ -520,10 +549,18 @@ def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
                 jobs += [(game, j, with_bad) for game in ("gi_rf", "gi_rb") for j in range(nc)
                          for with_bad in (False, True)]
                 for job in jobs:
-                    got = [sample(games._lean(p, *job), seed) for seed in range(trials)]
-                    want = [sample(faithful(p, *job), seed) for seed in range(trials)]
-                    if got != want:
-                        out.append(((eta, nc, bpc),) + job)
+                    yield p, job
+
+
+def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
+    """The grid games whose lean and faithful trees differ in the outcome
+    of some seeded trial."""
+    out = []
+    for p, job in grid_jobs(adversary):
+        got = [sample(games._lean(p, *job), seed) for seed in range(trials)]
+        want = [sample(faithful(p, *job), seed) for seed in range(trials)]
+        if got != want:
+            out.append(((p.eta, p.num_calls, p.blocks_per_call),) + job)
     return out
 
 
@@ -538,6 +575,25 @@ def calibration_mismatches(trials: int = 100) -> list[int]:
         if hits[0] != hits[1]:
             out.append(j)
     return out
+
+
+def runner_differs(node, seeds, path_bits: int) -> bool:
+    """Whether a lean node's runner and the Comp it carries differ: in
+    the outcome of a seeded trial, or in their exact distributions where
+    the Comp enumerates within path_bits."""
+    if any(sample(node, seed) != sample(node.comp, seed) for seed in seeds):
+        return True
+    try:
+        return exact_dist(node, path_bits) != exact_dist(node.comp, path_bits)
+    except EnumerationCapExceeded:
+        return False
+
+
+def runner_mismatches(adversary, trials: int = 20) -> list[tuple]:
+    """The grid games whose lean node's runner and Comp differ."""
+    return [((p.eta, p.num_calls, p.blocks_per_call),) + job
+            for p, job in grid_jobs(adversary)
+            if runner_differs(games._lean(p, *job), range(trials), 8)]
 
 
 class TestLeanSampler:
@@ -557,6 +613,42 @@ class TestLeanSampler:
 
     def test_calibration_hits_match_faithful(self):
         assert calibration_mismatches() == []
+
+    @pytest.mark.parametrize(
+        "adv",
+        [collision_detector, first_bit, constant(True), TestEvaluatorModes.PLAIN[1]],
+        ids=["collision", "first-bit", "constant", "plain-coin"],
+    )
+    def test_runner_matches_its_comp_on_the_grid(self, adv):
+        # the runner and the Comp interpret one op list: equal outcomes
+        # trial by trial, and equal enumerations
+        assert runner_mismatches(adv) == []
+
+    def test_runner_matches_its_comp_on_calibration(self):
+        out = []
+        for j, (game, eta, nc, bpc, adversary, _, i) in enumerate(CALIBRATION_SPECS):
+            node = games._lean(params(eta, nc, bpc, adversary=adversary), game, i)
+            if runner_differs(node, range(0xCA11 + j, 0xCA11 + j + 100), 18):
+                out.append(j)
+        assert out == []
+
+    def test_flat_node_under_bind_and_oracle(self):
+        # sample runs the runner, then the enclosing Bind on the same
+        # stream; run_with_oracle expands the Comp
+        p = params(2, 2, 1, adversary=TestEvaluatorModes.PLAIN[1])
+        node = games._lean(p, "gi_rf", 1, with_bad=True)
+        assert isinstance(node, Flat)
+        cell = mapc(node, lambda x: x == (True, False))
+        coin_after = bind(node, lambda x: mapc(sample_bits(2), lambda c: (x, c)))
+        for seed in range(50):
+            assert sample(cell, seed) == (sample(node.comp, seed) == (True, False))
+            assert sample(coin_after, seed) == sample(
+                bind(node.comp, lambda x: mapc(sample_bits(2), lambda c: (x, c))), seed)
+        counter = Oracle(lambda st, inp: Return((inp, st + 1)), 0)
+        asked = run_with_oracle(bind(node, query), counter)
+        want = mapc(node.comp, lambda x: (x, 1))
+        assert exact_dist(asked) == exact_dist(want)
+        assert [sample(asked, s) for s in range(50)] == [sample(want, s) for s in range(50)]
 
     def test_prf_memo_is_bounded(self):
         # at eta 16 nearly every trial keys the PRF afresh
@@ -581,16 +673,16 @@ class TestLeanSampler:
         # repeats an output, so a collision is seen either way, and the
         # first block is drawn before any hit
         ("rf draws on a cache hit",
-         'fresh = _new_input if shape == "rf" else _always',
-         "fresh = _always",
+         'rule = NEW_INPUT if shape == "rf" else ALWAYS',
+         "rule = ALWAYS",
          "grid, plain coin"),
         ("k and v are not drawn in an oracle game",
          'elif game != "g_ideal":',
          'elif game in ("g_real", "g1_prg", "gi_prg"):',
          "calibration"),
         ("gi_prf draws its key after k and v",
-         "ops = [(_always, into(K)), (_always, _drop), (_always, into(V))]",
-         "ops = [(_always, _drop), (_always, into(V)), (_always, into(K))]",
+         "ops = [(ALWAYS, into(K)), (ALWAYS, _drop), (ALWAYS, into(V))]",
+         "ops = [(ALWAYS, _drop), (ALWAYS, into(V)), (ALWAYS, into(K))]",
          "calibration"),
         # the fold, not the draw order: what the adversary sees
         ("a hidden v-update query is absorbed",
@@ -601,10 +693,17 @@ class TestLeanSampler:
          "return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]",
          "return st[ADV], st[K], x, st[BAD], st[ORC]",
          "calibration"),
+        # the runner alone, its Comp unchanged: only the runner pin
+        # compares the two interpreters directly
+        ("the runner draws on an rf cache hit",
+         "if rule is NEVER or rule is NEW_INPUT and st[V] in st[ORC]:",
+         "if rule is NEVER:",
+         "runner, plain coin"),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
         "calibration": calibration_mismatches,
+        "runner, plain coin": lambda: runner_mismatches(TestEvaluatorModes.PLAIN[1]),
     }
 
     @pytest.mark.parametrize(
