@@ -1033,10 +1033,11 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     fall inside the estimator's confidence interval about as often as
     the confidence level promises.
 
-    Each entry pairs the game's lean computation, which the estimator
-    samples, with the enumeration of that same computation; tests pin
-    every value as a literal and to the factored evaluator, and the
-    lean computation's outcomes to the faithful tree's.
+    Each entry pairs the game's lean computation, a ``prob.Flat`` whose
+    runner the estimator samples, with the enumeration of the Comp it
+    carries; tests pin every value as a literal and to the factored
+    evaluator, the runner's outcomes to that Comp's, and both to the
+    faithful tree's.
     """
     out = []
     for game, eta, nc, bpc, adversary, adv_name, i in CALIBRATION_SPECS:

@@ -240,7 +240,10 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
         if c is None:
             stack.pop()
             continue
-        c, rest = _head(c, ks)
+        if ks is None and not isinstance(c, Bind):  # already normal: skip the call
+            rest = None
+        else:
+            c, rest = _head(c, ks)
         if isinstance(c, Return):
             acc[c.value] = acc.get(c.value, 0) + (1 << (max_path_bits - bits))
         elif isinstance(c, Sample):
