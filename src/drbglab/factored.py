@@ -292,7 +292,10 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     absorb = adv.absorb
 
     def into(slot: int) -> Callable[[tuple, int | None], tuple]:
-        return lambda st, x: st[:slot] + (x,) + st[slot + 1 :]
+        """The op that puts its block in the k or the v slot."""
+        if slot == K:
+            return lambda st, x: (st[0], x, st[2], st[3], st[4])
+        return lambda st, x: (st[0], st[1], x, st[3], st[4])
 
     def ideal_block(st: tuple, x: int | None) -> tuple:
         return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]

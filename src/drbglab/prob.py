@@ -291,13 +291,13 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
     def bits(self, width: int) -> int:
-        while self._buf_bits < width:
-            self._buf = (self._buf << 64) | self.next64()
-            self._buf_bits += 64
-        self._buf_bits -= width
-        out = self._buf >> self._buf_bits
-        self._buf &= (1 << self._buf_bits) - 1
-        return out
+        buf, have = self._buf, self._buf_bits
+        while have < width:
+            buf = (buf << 64) | self.next64()
+            have += 64
+        have -= width
+        self._buf, self._buf_bits = buf & ((1 << have) - 1), have
+        return buf >> have
 
 
 def sample(comp: Comp, seed: int) -> Any:
