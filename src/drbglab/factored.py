@@ -1,54 +1,52 @@
-"""Two interpreters of a game's call shapes: the factored evaluator,
-which computes the exact ``(answer, bad)`` joint, and the lean sampler
-that Monte Carlo runs.
+"""One step list per game, read by two interpreters: the factored
+evaluator, which computes the exact ``(answer, bad)`` joint, and the
+lean sampler that Monte Carlo runs.
 
-:mod:`.games` names each game by the shapes of its generate calls. For
-the factored evaluator each shape becomes a few steps (draw an eta-bit
-block, run one deterministic generate call, answer one oracle query),
-and one forward propagator runs the list over merged integer states (adversary fold, k, v, bad, oracle
-state). A uniform sample that nothing reads (the instantiate key of an
-ideal prefix or of an oracle game, the instantiate v before an ideal
-call) is never drawn, so it marginalizes out: k and v are drawn lazily at
-their first read. A draw adds eta bits to the common ``2^bits``
-denominator, and a state that ignores the drawn block (a random-function
-cache hit) collects all ``2^eta`` equal shares. Every mass is a Python
-int until the game ends.
+:mod:`.games` names each game by the shapes of its generate calls.
+:func:`steps` writes a game out once, in the faithful tree's order: the
+instantiate draws, then per call its steps (draw an eta-bit block, run
+one deterministic generate call, answer one oracle query). Each step
+carries its draw rule as data: always, never, or only on a new oracle
+input. The two interpreters keep different oracle states, so each
+passes in its own chain-query body; everything else is shared.
 
-Each step declares the slots its fn reads, the slots it always
-overwrites and the slots its fresh block lands in. One backward pass
-over the step list finds the slots no later step reads before
-overwriting them. Each step's transition empties those dead slots before
-its states merge, and a block that lands only in dead slots is not
-drawn. Exact joints depend only on live slots, so lumping states that
-differ only in dead ones changes no mass (lumping, or bisimulation
-reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007).
+The factored evaluator (:func:`propagate`) runs the list forward over
+merged integer states (adversary fold, k, v, bad, oracle state). Its
+oracle state is one int with an (eta+1)-bit field per input: 0 for an
+input not yet queried, else answer+1 under rf and 1 under rb; equal
+traces are equal ints, so their states merge. :func:`plan` moves each
+draw that only fills a slot to just before the first step that reads
+the slot, and drops it when nothing does, so a sample nothing reads (the
+instantiate key of an ideal prefix or of an oracle game, the instantiate
+v before an ideal call) marginalizes out. One backward pass over the list
+then finds the slots no later step reads before overwriting them. Each
+step's transition empties those dead slots before its states merge, and
+a block that lands only in dead slots is not drawn. Exact joints depend
+only on live slots, so lumping states that differ only in dead ones
+changes no mass (lumping, or bisimulation reduction: Katoen, Kemna,
+Zapreev & Jansen, TACAS 2007). A draw adds eta bits to the common
+``2^bits`` denominator, and a state that ignores the drawn block (a
+random-function cache hit) collects all ``2^eta`` equal shares. Every
+mass is a Python int until the game ends.
 
-The oracle state is one int with an (eta+1)-bit field per input: 0 for
-an input not yet queried, else answer+1 under rf and 1 under rb.
+The sampler (:func:`sampler`) runs the same list as it stands, drawing
+by each step's rule, because a seeded trial must give the faithful
+tree's outcome. Its oracle trace is a small per-trial dict, since setting
+a field of a (eta+1)·2^eta-bit int costs too much at eta 16. It returns
+one ``prob.Flat`` node: a Comp with one ``Sample`` node per drawn block,
+which ``exact_dist`` enumerates, and a runner, one loop over the steps
+on a trial's SplitMix64 stream, which ``prob.sample`` calls. So
+``prob.sample``, ``exact_dist`` and ``estimate_pr_true`` run it
+unchanged, and a trial builds no node before the adversary answers.
 
-The sampler compiles the same shapes into one list of ops over int
-blocks, with ``prf_int`` as the only PRF. Each op carries its draw rule
-as data: always, never, or only on a new oracle input. Unlike the
-propagator, it draws every block eagerly, in the faithful tree's order,
-because a seeded trial must give the faithful tree's outcome. Its oracle
-trace is a small per-trial dict, since setting a field of a
-(eta+1)·2^eta-bit int costs too much at eta 16. Two interpreters read
-the op list, and the sampler returns both in one ``prob.Flat`` node: a
-Comp with one ``Sample`` node per drawn block, which ``exact_dist``
-enumerates, and a runner, one loop over the ops on a trial's SplitMix64
-stream, which ``prob.sample`` calls. So ``prob.sample``, ``exact_dist``
-and ``estimate_pr_true`` run it unchanged, and a trial builds no node
-before the adversary answers.
-
-The propagator and the sampler fold the adversary the same way: each
-visible output goes through ``adversary.absorb``, and a final fold
-state's Comp of bool comes from ``adversary.answer``. The propagator
-reads a ``Return`` answer directly and enumerates any other; the sampler
-ends its path with the answer, so the adversary's own coins are drawn
-last. Both read every leaf of the answer by ``prob.truth`` before it is
-keyed, so a non-bool answer raises at its own leaf. ``exact_dist`` on
-the lean computation shares each prefix's fold among all the leaves
-below it.
+Both interpreters fold the adversary the same way: each visible output
+goes through ``adversary.absorb``, and a final fold state's Comp of bool
+comes from ``adversary.answer``. The propagator reads a ``Return``
+answer directly and enumerates any other; the sampler ends its path with
+the answer, so the adversary's own coins are drawn last. Both read every
+leaf of the answer by ``prob.truth`` before it is keyed, so a non-bool
+answer raises at its own leaf. ``exact_dist`` on the lean computation
+shares each prefix's fold among all the leaves below it.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ if TYPE_CHECKING:
     from .games import HybridParams
 
 ADV, K, V, BAD, ORC = range(5)  # state slots
+ALWAYS, NEVER, NEW_INPUT = "always", "never", "new input"  # a step's draw rule
 
 # one fixed function per set of slots that die together in some step list
 CLEAR: dict[frozenset[int], Callable[[tuple], tuple]] = {
@@ -72,12 +71,15 @@ CLEAR: dict[frozenset[int], Callable[[tuple], tuple]] = {
     frozenset({V, ORC}): lambda st: (st[0], st[1], None, st[3], 0),
 }
 
+Query = Callable[["HybridParams", bool, bool], Callable[[tuple, Any], tuple]]
+
 
 class Step(NamedTuple):
-    reads: tuple[int, ...]  # slots fn reads; k and v are drawn first if never set
+    reads: tuple[int, ...]  # slots fn reads
     writes: tuple[int, ...]  # slots fn always overwrites
     draws: tuple[int, ...]  # slots fn's fresh eta-bit block lands in; () if it takes none
-    fn: Callable[[tuple, int], tuple]  # (state, block) -> state
+    rule: str  # when the faithful tree draws that block: ALWAYS, NEVER or NEW_INPUT
+    fn: Callable[[tuple, Any], tuple]  # (state, block) -> state
 
 
 def generate(
@@ -102,113 +104,131 @@ def generate(
     return fn
 
 
-def steps(p: HybridParams, shapes: list[str]) -> list[Step]:
-    """The step list of a game, one generate call after another. A
+def _set_k(st: tuple, x: int) -> tuple:
+    return st[0], x, st[2], st[3], st[4]
+
+
+def _set_v(st: tuple, x: int) -> tuple:
+    return st[0], st[1], x, st[3], st[4]
+
+
+def _drop(st: tuple, x: int) -> tuple:
+    return st
+
+
+DRAW_K = Step((), (K,), (K,), ALWAYS, _set_k)  # also the rekey query of an rf or rb call
+DRAW_V = Step((), (V,), (V,), ALWAYS, _set_v)
+UNREAD = Step((), (), (), ALWAYS, _drop)  # gi_prf's instantiate k
+
+
+def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[Step]:
+    """The step list of a game, in the faithful tree's draw order. A
     call's shape is 'ideal', 'spec', 'nov' or 'v', or the oracle mode
-    'prf', 'rf' or 'rb' that serves call i of an oracle-swapped game."""
-    eta, n, absorb, f = p.eta, p.blocks_per_call, p.adversary.absorb, p.prf_int
-    width = eta + 1  # one oracle-state field per input
-    field = (1 << width) - 1
+    'prf', 'rf' or 'rb' that serves call i of an oracle-swapped game.
+    ``query(p, cache, visible)`` is the interpreter's chain query in rf
+    (cache) or rb mode: its input is v, its answer becomes v, a repeated
+    input sets bad, and rf answers a repeat from its cache."""
+    eta, n, absorb = p.eta, p.blocks_per_call, p.adversary.absorb
 
     def ideal_block(st: tuple, x: int) -> tuple:
-        return absorb(st[0], x, eta), st[1], x, st[3], st[4]
+        return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]
 
-    def prf_query(kind: str, visible: bool) -> Step:
-        """One query of call i in prf mode: the k slot holds the oracle's
-        own key until the rekey, whose answer is the new key. No trace is
-        kept, since the bad event belongs to rf and rb only."""
-
-        def fn(st: tuple, x: int) -> tuple:
-            adv, k, v, bad, orc = st
-            if kind == "r":
-                return adv, f(k, "r", v), v, bad, orc
-            v = f(k, "c", v)
-            return (absorb(adv, v, eta) if visible else adv), k, v, bad, orc
-
-        return Step((K, V), (K,) if kind == "r" else (V,), (), fn)
-
-    def oracle_query(cache: bool, visible: bool) -> Step:
-        """One chain query of call i in rf (cache) or rb mode. Its input
-        is v, its answer becomes v, and an input already in the oracle
-        state sets bad. rf answers a repeated input from its field; rb
-        answers every query afresh. In rb mode the state resets to 0 once
-        bad is set: bad never clears, and only bad reads an rb trace."""
-
-        def fn(st: tuple, x: int) -> tuple:
-            adv, k, v, bad, orc = st
-            shift = v * width
-            seen = orc >> shift & field
-            if cache:
-                if seen:
-                    x, bad = seen - 1, True
-                else:
-                    orc |= (x + 1) << shift
-            elif not bad:
-                if seen:
-                    orc, bad = 0, True
-                else:
-                    orc |= 1 << shift
-            return (absorb(adv, x, eta) if visible else adv), k, x, bad, orc
-
-        lands = (V, ORC) if cache else (V,)
-        return Step((V, ORC), (V,), (ADV,) + lands if visible else lands, fn)
-
-    def rekey(st: tuple, x: int) -> tuple:
-        """The rekey query of call i in rf or rb mode: its input carries
-        the zero-octet pad, so it never repeats a chain input and the
-        oracle answers it afresh. Its answer is the new key."""
-        return st[0], x, st[2], st[3], st[4]
-
-    out: list[Step] = []
+    if game == "gi_prf":  # the oracle's own key, then an instantiate k nothing reads
+        out = [DRAW_K, UNREAD, DRAW_V]
+    elif game != "g_ideal":
+        out = [DRAW_K, DRAW_V]
+    else:
+        out = []
     for c, shape in enumerate(shapes):
         if shape == "ideal":
-            out += [Step((), (V,), (ADV, V), ideal_block)] * n
-        elif shape in ("spec", "nov", "v"):
-            out.append(Step((K, V), (K, V), (), generate(p, shape, absorb)))
-        elif shape == "prf":
-            if c > 0:  # the v update that leads the call is a hidden query
-                out.append(prf_query("c", visible=False))
-            out += [prf_query("c", visible=True)] * n
-            out.append(prf_query("r", visible=False))
-        else:
+            out += [Step((), (V,), (ADV, V), ALWAYS, ideal_block)] * n
+        elif shape in ("rf", "rb"):
             cache = shape == "rf"
-            if c > 0:
-                out.append(oracle_query(cache, visible=False))
-            out += [oracle_query(cache, visible=True)] * n
-            out.append(Step((), (K,), (K,), rekey))
+            rule = NEW_INPUT if cache else ALWAYS
+            lands = (V, ORC) if cache else (V,)
+            if c > 0:  # the v update that leads the call is a hidden query
+                out.append(Step((V, ORC), (V,), lands, rule, query(p, cache, visible=False)))
+            out += [Step((V, ORC), (V,), (ADV,) + lands, rule, query(p, cache, visible=True))] * n
+            out.append(DRAW_K)  # the rekey query: its padded input never repeats
+        else:  # a deterministic call; prf mode runs on the oracle key in the k slot
+            if shape == "prf":
+                shape = "nov" if c == 0 else "v"
+            out.append(Step((K, V), (K, V), (), NEVER, generate(p, shape, absorb)))
     return out
+
+
+# ---------------------------------------------------------------- the propagator
 
 
 class Plan(NamedTuple):
     """How propagate runs one step."""
 
-    lazy: tuple[int, ...]  # k and v slots to draw before the step: read, never set
     fn: Callable[[tuple, int], tuple]
     draw: bool  # whether the step's block is drawn (it lands in a live slot)
     clear: Callable[[tuple], tuple] | None  # empties the slots that die here
 
 
 def plan(step_list: list[Step]) -> list[Plan]:
-    """Liveness over the step list. A slot is dead after a step when no
-    later step reads it before one overwrites it; the adversary fold and
-    bad are read at the end, so they never die."""
+    """Each draw-only step (no reads, its block landing in the slots it
+    writes) moves to just before the first step that reads its slot, and
+    goes when a step overwrites the slot first or none reads it. Then
+    liveness over the list: a slot is dead after a step when no later
+    step reads it before one overwrites it; the adversary fold and bad
+    are read at the end, so they never die."""
+    moved: list[Step] = []
+    waiting: dict[int, Step] = {}  # slot -> the draw-only step that fills it, unread so far
+    for step in step_list:
+        if not step.reads and step.draws == step.writes:
+            waiting.update((s, step) for s in step.writes)
+            continue
+        moved += [waiting.pop(s) for s in step.reads if s in waiting]
+        for s in step.writes:
+            waiting.pop(s, None)
+        moved.append(step)
+
     live = {ADV, BAD}
     dead_after = []
-    for step in reversed(step_list):
+    for step in reversed(moved):
         dead_after.append(frozenset((ADV, K, V, BAD, ORC)) - live)
         live = (live - set(step.writes)) | set(step.reads)
     dead_after.reverse()
 
     plans = []
     held: set[int] = set()  # slots that may hold more than their empty value
-    for step, dead in zip(step_list, dead_after):
-        lazy = tuple(s for s in step.reads if s in (K, V) and s not in held)
+    for step, dead in zip(moved, dead_after):
         touched = held | set(step.reads) | set(step.writes) | set(step.draws)
         dying = frozenset(touched & dead)
         draw = any(s not in dead for s in step.draws)
-        plans.append(Plan(lazy, step.fn, draw, CLEAR[dying] if dying else None))
+        plans.append(Plan(step.fn, draw, CLEAR[dying] if dying else None))
         held = touched - dead
     return plans
+
+
+def field_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, int], tuple]:
+    """The propagator's chain query on an int of (eta+1)-bit fields. In
+    rb mode the state resets to 0 once bad is set: bad never clears, and
+    only bad reads an rb trace."""
+    eta, absorb = p.eta, p.adversary.absorb
+    width = eta + 1  # one oracle-state field per input
+    field = (1 << width) - 1
+
+    def fn(st: tuple, x: int) -> tuple:
+        adv, k, v, bad, orc = st
+        shift = v * width
+        seen = orc >> shift & field
+        if cache:
+            if seen:
+                x, bad = seen - 1, True
+            else:
+                orc |= (x + 1) << shift
+        elif not bad:
+            if seen:
+                orc, bad = 0, True
+            else:
+                orc |= 1 << shift
+        return (absorb(adv, x, eta) if visible else adv), k, x, bad, orc
+
+    return fn
 
 
 def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
@@ -218,19 +238,14 @@ def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     return out
 
 
-def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fraction]:
+def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool, bool], Fraction]:
     """Exact joint distribution of (adversary answer, bad) in the game
     whose generate calls have these shapes."""
     adv, space = p.adversary, range(1 << p.eta)
     dist = {(adv.initial(), None, None, False, 0): 1}
     bits = 0
 
-    for lazy, fn, draw, clear in plan(steps(p, shapes)):
-        for s in lazy:
-            dist = merge(
-                (st[:s] + (x,) + st[s + 1 :], mass) for st, mass in dist.items() for x in space
-            )
-            bits += p.eta
+    for fn, draw, clear in plan(steps(p, game, shapes, field_query)):
         # a block that lands only in dead slots is not drawn: its value is emptied
         xs = space if draw else (0,)
         bits += p.eta if draw else 0
@@ -258,83 +273,43 @@ def propagate(p: HybridParams, shapes: list[str]) -> dict[tuple[bool, bool], Fra
 #
 # One path per trial over the propagator's slots, the adversary slot
 # holding its fold, except that the oracle slot holds a dict from query
-# input to answer. Each op is (rule, fn): when it draws a block, as data
-# that both the Comp and the runner read, and the state it leaves.
-
-ALWAYS, NEVER, NEW_INPUT = "always", "never", "new input"  # an op's draw rule
+# input to answer. Each op is a step's (rule, fn): when it draws a block,
+# as data that both the Comp and the runner read, and the state it leaves.
 
 
-def _drop(st: tuple, x: int | None) -> tuple:
-    return st
+def dict_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, Any], tuple]:
+    """The sampler's chain query on a dict trace. An rf query on a
+    repeated input takes no block (its rule is NEW_INPUT)."""
+    eta, absorb = p.eta, p.adversary.absorb
+
+    def fn(st: tuple, x: int | None) -> tuple:
+        adv, k, v, bad, trace = st
+        if v in trace:
+            bad = True
+            if cache:
+                x = trace[v]
+        else:
+            trace = {**trace, v: x}
+        return (absorb(adv, x, eta) if visible else adv), k, x, bad, trace
+
+    return fn
 
 
 def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Flat:
     """The lean computation of a game whose generate calls have these
-    shapes: the adversary's result, or ``(result, bad)`` with_bad. Every
-    visible output is absorbed into the adversary's fold, as the
-    propagator does, and the path ends with the fold's ``answer``, each
-    of its leaves read by ``prob.truth``. It draws every eta-bit block
-    the faithful tree draws, in the same order:
-
-    - gi_prf draws its oracle key first, and every game but g_ideal then
-      draws the instantiate k and v, whether or not anything reads them;
-    - an ideal call draws its blocks in order;
-    - an rb query always draws, an rf query only on a new input, and the
-      rekey query always;
-    - the adversary answers last, so its own coins come last.
+    shapes: the adversary's result, or ``(result, bad)`` with_bad. It
+    runs the game's step list as it stands, each block drawn by its
+    step's rule, so it draws every eta-bit block the faithful tree draws,
+    in the same order, and ends with the fold's ``answer``, each of its
+    leaves read by ``prob.truth``: the adversary's own coins come last.
 
     The result is a ``prob.Flat``: its comp is a tree of ``Sample``
     nodes, one per drawn block, which ``exact_dist`` enumerates, and its
     runner is one loop over the same ops on the trial's stream, which
     ``prob.sample`` calls.
     """
-    eta, n, adv = p.eta, p.blocks_per_call, p.adversary
-    absorb = adv.absorb
-
-    def into(slot: int) -> Callable[[tuple, int | None], tuple]:
-        """The op that puts its block in the k or the v slot."""
-        if slot == K:
-            return lambda st, x: (st[0], x, st[2], st[3], st[4])
-        return lambda st, x: (st[0], st[1], x, st[3], st[4])
-
-    def ideal_block(st: tuple, x: int | None) -> tuple:
-        return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]
-
-    def query(cache: bool, visible: bool) -> Callable[[tuple, int | None], tuple]:
-        """A chain query of call i: its input is v and its answer becomes
-        v. A repeated input sets bad; rf then answers from its cache."""
-
-        def op(st: tuple, x: int | None) -> tuple:
-            outs, k, v, bad, trace = st
-            if v in trace:
-                bad = True
-                if cache:
-                    x = trace[v]
-            else:
-                trace = {**trace, v: x}
-            return (absorb(outs, x, eta) if visible else outs), k, x, bad, trace
-
-        return op
-
-    if game == "gi_prf":  # the oracle's own key, then an instantiate k nothing reads
-        ops = [(ALWAYS, into(K)), (ALWAYS, _drop), (ALWAYS, into(V))]
-    elif game != "g_ideal":
-        ops = [(ALWAYS, into(K)), (ALWAYS, into(V))]
-    else:
-        ops = []
-    for c, shape in enumerate(shapes):
-        if shape == "ideal":
-            ops += [(ALWAYS, ideal_block)] * n
-        elif shape in ("rf", "rb"):
-            rule = NEW_INPUT if shape == "rf" else ALWAYS
-            if c > 0:  # the v update that leads the call is a hidden query
-                ops.append((rule, query(shape == "rf", visible=False)))
-            ops += [(rule, query(shape == "rf", visible=True))] * n
-            ops.append((ALWAYS, into(K)))  # the rekey query: its padded input never repeats
-        else:  # a deterministic call; prf mode runs on the oracle key in the k slot
-            if shape == "prf":
-                shape = "nov" if c == 0 else "v"
-            ops.append((NEVER, generate(p, shape, absorb)))
+    eta, adv = p.eta, p.adversary
+    ops = [(s.rule, s.fn) for s in steps(p, game, shapes, dict_query)]
 
     def finish(st: tuple) -> Comp:
         answer = adv.answer(st[ADV])

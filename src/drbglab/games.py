@@ -20,22 +20,23 @@ The game's computation tree is the specification, and
 exact path, the factored evaluator (:mod:`.factored`), writes each game
 once as a list of steps (draw an eta-bit block, run one deterministic
 generate call, answer one oracle query) and propagates them forward over
-merged integer states (adversary fold, k, v, bad, oracle state). k and v
-are drawn lazily at their first read, so unused samples marginalize out.
-A backward liveness pass over the step list finds the slots that no
-later step reads, and each step empties them before its states merge,
-so states that differ only there are lumped. Every mass is a Python int
-over an implicit ``2^bits`` denominator until the game ends. Tests pin
-it to the reference on every game family.
+merged integer states (adversary fold, k, v, bad, oracle state). Each
+draw is moved to its first read, and a sample nothing reads is not
+drawn, so it marginalizes out. A backward liveness pass over the step
+list finds the slots that no later step reads, and each step empties
+them before its states merge, so states that differ only there are
+lumped. Every mass is a Python int over an implicit ``2^bits``
+denominator until the game ends. Tests pin it to the reference on every
+game family.
 
 The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and
-estimates it by Monte Carlo otherwise. Monte Carlo samples a lean
-computation compiled from the same call shapes (``factored.sampler``):
-int blocks, ``prf_int`` as the only PRF, the adversary folded as the
-factored evaluator folds it, and every block drawn in the faithful
-tree's order, so each seed gives the faithful tree's outcome.
-Tests pin it trial by trial to the faithful trees.
+estimates it by Monte Carlo otherwise. Monte Carlo runs the same step
+list as it stands (``factored.sampler``): int blocks, ``prf_int`` as the
+only PRF, the adversary folded as the factored evaluator folds it, and
+every block drawn in the faithful tree's order, so each seed gives the
+faithful tree's outcome. Tests pin it trial by trial to the faithful
+trees.
 """
 
 from __future__ import annotations
@@ -535,9 +536,9 @@ def gi_rb_bad(p: HybridParams, i: int) -> Comp:
 
 # ------------------------------------------------------ the factored evaluator
 #
-# A game reaches :mod:`.factored` as the shapes of its generate calls:
-# the factored evaluator builds their step list and propagates it, and
-# Monte Carlo samples the lean computation compiled from them.
+# A game reaches :mod:`.factored` as its name and the shapes of its
+# generate calls, which give its one step list: the factored evaluator
+# propagates it, and Monte Carlo samples the lean computation that runs it.
 
 
 def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
@@ -665,12 +666,13 @@ class GameEvaluator:
     2^(2*eta)`` within ``DEFAULT_FAST_OPS_CAP``: every game is one step
     list (draw an eta-bit block, run a deterministic generate call,
     answer an oracle query) propagated forward over merged integer
-    states, with k and v drawn lazily at first read, the slots no later
+    states, with each draw moved to its first read, the slots no later
     step reads emptied, and masses kept as ints over a ``2^bits``
     denominator until the game ends. Past the budget, or once the
     adversary's own coins outgrow what ``exact_dist`` enumerates, every
     value is a Monte Carlo estimate with Clopper-Pearson intervals,
-    sampled from the game's lean computation (``factored.sampler``).
+    sampled from the game's lean computation (``factored.sampler``),
+    which runs the same step list.
     Results are memoized per evaluator, so a lemma suite shares work
     across checks.
     """
@@ -695,7 +697,8 @@ class GameEvaluator:
         """The exact (answer, bad) joint of a game, or None when the
         factored evaluator does not admit the adversary. Joints are
         memoized by shape list, which games with equal shapes share
-        (g_ideal, gi_prg(nc) and gi_prf(nc); g1_prg and gi_prg(0)). An
+        (g_ideal, gi_prg(nc) and gi_prf(nc); g1_prg and gi_prg(0)): their
+        step lists differ only in instantiate draws that nothing reads. An
         adversary whose own coins cannot be enumerated puts the evaluator
         past its budget, like one the admission rule turns away."""
         shapes = _call_shapes(self.p, game, i)
@@ -704,7 +707,7 @@ class GameEvaluator:
             return None
         if key not in self._joint:
             try:
-                self._joint[key] = propagate(self.p, shapes)
+                self._joint[key] = propagate(self.p, game, shapes)
             except EnumerationCapExceeded:
                 self._factored = False
                 return None

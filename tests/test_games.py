@@ -325,7 +325,8 @@ class TestBadEvent:
         with_bad, equal = self.rf_equal_to_rb()
         assert len(with_bad) == 9 and equal == []
         steps = factored.steps
-        forgetful = lambda p, shapes: steps(p, ["rb" if s == "rf" else s for s in shapes])
+        forgetful = lambda p, game, shapes, query: steps(
+            p, game, ["rb" if s == "rf" else s for s in shapes], query)
         monkeypatch.setattr(factored, "steps", forgetful)
         assert self.rf_equal_to_rb() == (with_bad, with_bad)
 
@@ -596,6 +597,13 @@ def runner_mismatches(adversary, trials: int = 20) -> list[tuple]:
             if runner_differs(games._lean(p, *job), range(trials), 8)]
 
 
+def exact_mismatches(exact: list[Fraction]) -> list[int]:
+    """The CALIBRATION_SPECS entries whose factored value is not the
+    literal in exact."""
+    return [j for j, (game, eta, nc, bpc, adversary, _, i) in enumerate(CALIBRATION_SPECS)
+            if GameEvaluator(params(eta, nc, bpc, adversary=adversary)).pr(game, i).mid != exact[j]]
+
+
 class TestLeanSampler:
     """Monte Carlo samples the lean computation of each game's call
     shapes. It must draw in the faithful tree's order, so every seeded
@@ -665,57 +673,83 @@ class TestLeanSampler:
         assert len(misses) > games.PRF_MEMO_CAP >= len(p._prf_memo)
 
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
-    # Selection", IEEE Computer 1978): each one-line change to the
-    # sampler's draw order or to its fold must fail a named pin. (what the
-    # mutant does, the line, its mutation, the pin that kills it)
+    # Selection", IEEE Computer 1978): each one-line change to the shared
+    # step list, to either interpreter's query body or to the runner must
+    # fail the pins named for it. The exact pin reads the propagator, the
+    # others the sampler, and the exact pin must kill exactly the mutants
+    # that name it: the draw-order mutants, the sampler's query body and
+    # the runner leave every exact joint as it is, so only a sampler pin
+    # sees them. (what the mutant does, the line, its mutation, the pins
+    # that kill it)
     MUTANTS = [
         # only coins drawn after the shifted blocks show it: a cache hit
         # repeats an output, so a collision is seen either way, and the
         # first block is drawn before any hit
         ("rf draws on a cache hit",
-         'rule = NEW_INPUT if shape == "rf" else ALWAYS',
+         "rule = NEW_INPUT if cache else ALWAYS",
          "rule = ALWAYS",
-         "grid, plain coin"),
+         ("grid, plain coin",)),
+        # the propagator raises on the k or v it reads undrawn
         ("k and v are not drawn in an oracle game",
          'elif game != "g_ideal":',
          'elif game in ("g_real", "g1_prg", "gi_prg"):',
-         "calibration"),
+         ("calibration", "exact")),
         ("gi_prf draws its key after k and v",
-         "ops = [(ALWAYS, into(K)), (ALWAYS, _drop), (ALWAYS, into(V))]",
-         "ops = [(ALWAYS, _drop), (ALWAYS, into(V)), (ALWAYS, into(K))]",
-         "calibration"),
+         "out = [DRAW_K, UNREAD, DRAW_V]",
+         "out = [UNREAD, DRAW_V, DRAW_K]",
+         ("calibration",)),
         # the fold, not the draw order: what the adversary sees
         ("a hidden v-update query is absorbed",
-         "(absorb(outs, x, eta) if visible else outs)",
-         "absorb(outs, x, eta)",
-         "calibration"),
+         "query(p, cache, visible=False)",
+         "query(p, cache, visible=True)",
+         ("calibration", "exact")),
         ("an ideal block is not absorbed",
          "return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]",
          "return st[ADV], st[K], x, st[BAD], st[ORC]",
-         "calibration"),
+         ("calibration", "exact")),
+        # rf keeps no answers, so it never sees a repeat: one mutant per
+        # query body, each seen only by its own interpreter's pins
+        ("rf forgets its cache in the propagator",
+         "orc |= (x + 1) << shift",
+         "orc |= 0",
+         ("exact",)),
+        ("rf forgets its cache in the sampler",
+         "trace = {**trace, v: x}",
+         "trace = trace if cache else {**trace, v: x}",
+         ("calibration",)),
         # the runner alone, its Comp unchanged: only the runner pin
         # compares the two interpreters directly
         ("the runner draws on an rf cache hit",
          "if rule is NEVER or rule is NEW_INPUT and st[V] in st[ORC]:",
          "if rule is NEVER:",
-         "runner, plain coin"),
+         ("runner, plain coin",)),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
         "calibration": calibration_mismatches,
         "runner, plain coin": lambda: runner_mismatches(TestEvaluatorModes.PLAIN[1]),
+        "exact": lambda: exact_mismatches(TestCalibrationCorpus.EXACT),
     }
 
     @pytest.mark.parametrize(
-        "what,line,mutation,pin", MUTANTS, ids=[m[0].replace(" ", "-") for m in MUTANTS]
+        "what,line,mutation,pins", MUTANTS, ids=[m[0].replace(" ", "-") for m in MUTANTS]
     )
-    def test_mutant_fails_its_pin(self, what, line, mutation, pin, monkeypatch):
+    def test_mutant_fails_its_pin(self, what, line, mutation, pins, monkeypatch):
         source = inspect.getsource(factored)
-        assert source.count(line) == 1, "the mutated line must be in the sampler once"
+        assert source.count(line) == 1, "the mutated line must be in factored once"
         namespace = {"__name__": "drbglab._mutant", "__package__": "drbglab"}
         exec(compile(source.replace(line, mutation), factored.__file__, "exec"), namespace)
         monkeypatch.setattr(games, "sampler", namespace["sampler"])
-        assert self.PINS[pin]() != [], what
+        monkeypatch.setattr(games, "propagate", namespace["propagate"])
+
+        def kills(pin: str) -> bool:
+            try:
+                return self.PINS[pin]() != []
+            except TypeError:  # a k or v read before it is drawn
+                return True
+
+        assert all(kills(pin) for pin in pins if pin != "exact"), what
+        assert kills("exact") == ("exact" in pins), what
 
 
 class TestLumping:
@@ -723,13 +757,42 @@ class TestLumping:
     only in them merge."""
 
     def test_dead_slots_and_useless_draws(self):
-        # one rf call of one block: the query's trace and v die with it,
-        # and the rekey's answer lands only in a dead k, so it is not drawn
+        f = factored
+        # one rf call of one block: v is drawn just before its query, which
+        # empties v and the trace; nothing reads k, so neither the
+        # instantiate k nor the rekey's answer is drawn
         p = params(3, 1, 1)
-        query, rekey = factored.plan(factored.steps(p, ["rf"]))
-        assert query.lazy == (factored.V,) and query.draw
-        assert query.clear is factored.CLEAR[frozenset({factored.V, factored.ORC})]
-        assert not rekey.draw and rekey.clear is factored.CLEAR[frozenset({factored.K})]
+        rf = f.steps(p, "gi_rf", ["rf"], f.field_query)
+        assert rf[0] is rf[-1] is f.DRAW_K
+        draw_v, query = f.plan(rf)
+        assert draw_v == (f.DRAW_V.fn, True, None)
+        assert query == (rf[2].fn, True, f.CLEAR[frozenset({f.V, f.ORC})])
+        # gi_prg(1): k waits for call 1's generate, the first step to read
+        # it, and the instantiate v goes, since the ideal call overwrites it
+        p = params(2, 2, 1)
+        ideal, call_1 = f.steps(p, "gi_prg", games._call_shapes(p, "gi_prg", 1), f.field_query)[2:]
+        assert [pl.fn for pl in f.plan([f.DRAW_K, f.DRAW_V, ideal, call_1])] == [
+            ideal.fn, f.DRAW_K.fn, call_1.fn]
+        # an all-ideal game draws its ideal blocks and nothing else
+        for game in ("g_ideal", "gi_prg", "gi_prf"):
+            step_list = f.steps(p, game, ["ideal", "ideal"], f.field_query)
+            plans = f.plan(step_list)
+            assert [pl.fn for pl in plans] == [step_list[-1].fn] * 2
+            assert all(pl.draw for pl in plans)
+
+    def test_shared_shape_lists_share_a_joint(self):
+        # the joint memo is keyed by shape list, while each game's step
+        # list also has its own instantiate draws: games that share a shape
+        # list must give equal joints
+        for eta, nc, bpc in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+            p = params(eta, nc, bpc)
+            ideal = ["ideal"] * nc
+            assert (factored.propagate(p, "g_ideal", ideal)
+                    == factored.propagate(p, "gi_prg", ideal)
+                    == factored.propagate(p, "gi_prf", ideal))
+            shapes = games._call_shapes(p, "g1_prg", None)
+            assert shapes == games._call_shapes(p, "gi_prg", 0)
+            assert factored.propagate(p, "g1_prg", shapes) == factored.propagate(p, "gi_prg", shapes)
 
     # the peak merged-state count of one game's propagation: 12,888,
     # 9,136 and 22,968 before dead slots were emptied
@@ -747,7 +810,7 @@ class TestLumping:
 
         monkeypatch.setattr(factored, "merge", counted)
         p = params(*point)
-        factored.propagate(p, games._call_shapes(p, game, j))
+        factored.propagate(p, game, games._call_shapes(p, game, j))
         assert peak[0] <= bound
 
     def test_joints_memoized_by_shape_list(self, monkeypatch):
@@ -755,9 +818,9 @@ class TestLumping:
         # g1_prg and gi_prg(0): a suite propagates each shape list once
         propagate, shapes = games.propagate, []
 
-        def counted(p, call_shapes):
+        def counted(p, game, call_shapes):
             shapes.append(tuple(call_shapes))
-            return propagate(p, call_shapes)
+            return propagate(p, game, call_shapes)
 
         monkeypatch.setattr(games, "propagate", counted)
         p = params(2, 2, 2)
@@ -848,6 +911,11 @@ class TestCalibrationCorpus:
 
     def test_exact_values_are_pinned(self, calibration):
         assert [exact for _, _, exact in calibration] == self.EXACT
+
+    def test_factored_values_are_pinned(self):
+        # the propagator alone, with no enumeration: the mutation matrix's
+        # exact pin
+        assert exact_mismatches(self.EXACT) == []
 
 
 class TestSeededHitCounts:
