@@ -628,7 +628,7 @@ class TestLeanSampler:
         ids=["collision", "first-bit", "constant", "plain-coin"],
     )
     def test_runner_matches_its_comp_on_the_grid(self, adv):
-        # the runner and the Comp interpret one op list: equal outcomes
+        # the runner and the Comp interpret one step list: equal outcomes
         # trial by trial, and equal enumerations
         assert runner_mismatches(adv) == []
 
@@ -770,9 +770,10 @@ class TestLumping:
         # gi_prg(1): k waits for call 1's generate, the first step to read
         # it, and the instantiate v goes, since the ideal call overwrites it
         p = params(2, 2, 1)
-        ideal, call_1 = f.steps(p, "gi_prg", games._call_shapes(p, "gi_prg", 1), f.field_query)[2:]
-        assert [pl.fn for pl in f.plan([f.DRAW_K, f.DRAW_V, ideal, call_1])] == [
-            ideal.fn, f.DRAW_K.fn, call_1.fn]
+        step_list = f.steps(p, "gi_prg", games._call_shapes(p, "gi_prg", 1), f.field_query)
+        draw_k, draw_v, ideal, call_1 = step_list
+        assert (draw_k, draw_v) == (f.DRAW_K, f.DRAW_V)
+        assert [pl.fn for pl in f.plan(step_list)] == [ideal.fn, draw_k.fn, call_1.fn]
         # an all-ideal game draws its ideal blocks and nothing else
         for game in ("g_ideal", "gi_prg", "gi_prf"):
             step_list = f.steps(p, game, ["ideal", "ideal"], f.field_query)
