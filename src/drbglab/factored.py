@@ -21,10 +21,12 @@ instantiate key of an ideal prefix or of an oracle game, the instantiate
 v before an ideal call) marginalizes out. One backward pass over the list
 then finds the slots no later step reads before overwriting them. Each
 step's transition empties those dead slots before its states merge, and
-a block that lands only in dead slots is not drawn. Exact joints depend
-only on live slots, so lumping states that differ only in dead ones
-changes no mass (lumping, or bisimulation reduction: Katoen, Kemna,
-Zapreev & Jansen, TACAS 2007). A draw adds eta bits to the common
+a block that lands only in dead slots is not drawn. The trace is live
+only at the field its last reader reads, the one at that query's input
+v, so the step before that query empties every other field. Exact joints
+depend only on what later steps read, so lumping states that differ
+only in dead slots or fields changes no mass (lumping, or bisimulation
+reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007). A draw adds eta bits to the common
 ``2^bits`` denominator, and a state that ignores the drawn block (a
 random-function cache hit) collects all ``2^eta`` equal shares. Every
 mass is a Python int until the game ends.
@@ -168,13 +170,16 @@ class Plan(NamedTuple):
     clear: Callable[[tuple], tuple] | None  # empties the slots that die here
 
 
-def plan(step_list: list[Step]) -> list[Plan]:
+def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
     """Each draw-only step (no reads, its block landing in the slots it
     writes) moves to just before the first step that reads its slot, and
     goes when a step overwrites the slot first or none reads it. Then
     liveness over the list: a slot is dead after a step when no later
     step reads it before one overwrites it; the adversary fold and bad
-    are read at the end, so they never die."""
+    are read at the end, so they never die. The oracle trace is live
+    only at the field its last reader reads: the step before that query
+    also empties every other field (``narrow``, the trace format's own),
+    when the trace may hold any."""
     moved: list[Step] = []
     waiting: dict[int, Step] = {}  # slot -> the draw-only step that fills it, unread so far
     for step in step_list:
@@ -187,19 +192,24 @@ def plan(step_list: list[Step]) -> list[Plan]:
         moved.append(step)
 
     live = {ADV, BAD}
-    dead_after = []
+    dead_after, last_read = [], []
     for step in reversed(moved):
         dead_after.append(frozenset((ADV, K, V, BAD, ORC)) - live)
+        last_read.append(ORC in step.reads and ORC not in live)  # the trace's last reader
         live = (live - set(step.writes)) | set(step.reads)
     dead_after.reverse()
+    last_read.reverse()
 
     plans = []
     held: set[int] = set()  # slots that may hold more than their empty value
-    for step, dead in zip(moved, dead_after):
+    for step, dead, next_last in zip(moved, dead_after, last_read[1:] + [False]):
         touched = held | set(step.reads) | set(step.writes) | set(step.draws)
         dying = frozenset(touched & dead)
         draw = any(s not in dead for s in step.draws)
-        plans.append(Plan(step.fn, draw, CLEAR[dying] if dying else None))
+        clear = CLEAR[dying] if dying else None
+        if next_last and ORC in touched:  # the last query reads the trace only at v
+            clear = narrow if clear is None else lambda st, _c=clear: narrow(_c(st))
+        plans.append(Plan(step.fn, draw, clear))
         held = touched - dead
     return plans
 
@@ -231,6 +241,19 @@ def field_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple,
     return fn
 
 
+def field_narrow(p: HybridParams) -> Callable[[tuple], tuple]:
+    """Empties every field of the trace but the one at v, the only one a
+    query reads."""
+    width = p.eta + 1
+    field = (1 << width) - 1
+
+    def fn(st: tuple) -> tuple:
+        adv, k, v, bad, orc = st
+        return adv, k, v, bad, orc & field << v * width
+
+    return fn
+
+
 def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     out: dict[Any, int] = {}
     for point, mass in pairs:
@@ -245,7 +268,7 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
     dist = {(adv.initial(), None, None, False, 0): 1}
     bits = 0
 
-    for fn, draw, clear in plan(steps(p, game, shapes, field_query)):
+    for fn, draw, clear in plan(steps(p, game, shapes, field_query), field_narrow(p)):
         # a block that lands only in dead slots is not drawn: its value is emptied
         xs = space if draw else (0,)
         bits += p.eta if draw else 0

@@ -24,8 +24,9 @@ merged integer states (adversary fold, k, v, bad, oracle state). Each
 draw is moved to its first read, and a sample nothing reads is not
 drawn, so it marginalizes out. A backward liveness pass over the step
 list finds the slots that no later step reads, and each step empties
-them before its states merge, so states that differ only there are
-lumped. Every mass is a Python int over an implicit ``2^bits``
+them before its states merge; the step before the oracle's last query
+also empties every field of the oracle trace but the one that query
+reads. So states that differ only there are lumped. Every mass is a Python int over an implicit ``2^bits``
 denominator until the game ends. Tests pin it to the reference on every
 game family.
 
@@ -667,7 +668,8 @@ class GameEvaluator:
     list (draw an eta-bit block, run a deterministic generate call,
     answer an oracle query) propagated forward over merged integer
     states, with each draw moved to its first read, the slots no later
-    step reads emptied, and masses kept as ints over a ``2^bits``
+    step reads emptied, the oracle trace narrowed to the one field its
+    last query reads, and masses kept as ints over a ``2^bits``
     denominator until the game ends. Past the budget, or once the
     adversary's own coins outgrow what ``exact_dist`` enumerates, every
     value is a Monte Carlo estimate with Clopper-Pearson intervals,

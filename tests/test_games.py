@@ -304,10 +304,16 @@ class TestBadEvent:
         ids=["collision", "first-bit", "constant"],
     )
     def test_closed_form_on_the_grid(self, adv):
-        # call i makes bpc chain queries, one more at i > 0 for its leading
-        # v update; their inputs are iid uniform until one repeats (the
-        # incoming v, then each fresh answer), and the padded rekey input
-        # never repeats one
+        assert self.closed_form_mismatches(adv) == []
+
+    @staticmethod
+    def closed_form_mismatches(adv) -> list[tuple]:
+        """The eta-1..3 grid's (point, oracle, i) whose Pr[bad] is not the
+        birthday probability. Call i makes bpc chain queries, one more at
+        i > 0 for its leading v update; their inputs are iid uniform until
+        one repeats (the incoming v, then each fresh answer), and the
+        padded rekey input never repeats one."""
+        out = []
         for eta in (1, 2, 3):
             for nc in (1, 2, 3):
                 for bpc in (1, 2):
@@ -315,7 +321,9 @@ class TestBadEvent:
                     for j in range(nc):
                         expect = birthday_exact(bpc + (j > 0), 1 << eta)
                         for oracle in ("rb", "rf"):
-                            assert ev.pr_bad(oracle, j).mid == expect, (eta, nc, bpc, oracle, j)
+                            if ev.pr_bad(oracle, j).mid != expect:
+                                out.append(((eta, nc, bpc), oracle, j))
+        return out
 
     def test_rf_keeps_its_cache(self, monkeypatch):
         # wherever a repeat can happen, the collision adversary sees an rf
@@ -723,12 +731,26 @@ class TestLeanSampler:
          "if rule is NEVER or rule is NEW_INPUT and st[V] in st[ORC]:",
          "if rule is NEVER:",
          ("runner, plain coin",)),
+        # the propagator's trace narrowing: k is never drawn during an
+        # oracle call, so reading it raises
+        ("the narrowed field is read at k",
+         "return adv, k, v, bad, orc & field << v * width",
+         "return adv, k, v, bad, orc & field << k * width",
+         ("exact",)),
+        # each query then sees only a repeat of its own input's field as
+        # the query before left it: Pr[bad] drops at three or more queries,
+        # while no answer marginal moves
+        ("the trace is narrowed before every query",
+         "last_read.append(ORC in step.reads and ORC not in live)",
+         "last_read.append(ORC in step.reads)",
+         ("bad",)),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
         "calibration": calibration_mismatches,
         "runner, plain coin": lambda: runner_mismatches(TestEvaluatorModes.PLAIN[1]),
         "exact": lambda: exact_mismatches(TestCalibrationCorpus.EXACT),
+        "bad": lambda: TestBadEvent.closed_form_mismatches(collision_detector),
     }
 
     @pytest.mark.parametrize(
@@ -753,33 +775,53 @@ class TestLeanSampler:
 
 
 class TestLumping:
-    """Slots that no later step reads are emptied, so states that differ
-    only in them merge."""
+    """Slots that no later step reads are emptied, and so are the trace
+    fields that its last query does not read, so states that differ only
+    there merge."""
 
     def test_dead_slots_and_useless_draws(self):
         f = factored
         # one rf call of one block: v is drawn just before its query, which
         # empties v and the trace; nothing reads k, so neither the
-        # instantiate k nor the rekey's answer is drawn
+        # instantiate k nor the rekey's answer is drawn. The trace is empty
+        # before the one query, so nothing narrows it
         p = params(3, 1, 1)
         rf = f.steps(p, "gi_rf", ["rf"], f.field_query)
         assert rf[0] is rf[-1] is f.DRAW_K
-        draw_v, query = f.plan(rf)
+        draw_v, query = f.plan(rf, f.field_narrow(p))
         assert draw_v == (f.DRAW_V.fn, True, None)
         assert query == (rf[2].fn, True, f.CLEAR[frozenset({f.V, f.ORC})])
         # gi_prg(1): k waits for call 1's generate, the first step to read
         # it, and the instantiate v goes, since the ideal call overwrites it
         p = params(2, 2, 1)
+        narrow = f.field_narrow(p)
         step_list = f.steps(p, "gi_prg", games._call_shapes(p, "gi_prg", 1), f.field_query)
         draw_k, draw_v, ideal, call_1 = step_list
         assert (draw_k, draw_v) == (f.DRAW_K, f.DRAW_V)
-        assert [pl.fn for pl in f.plan(step_list)] == [ideal.fn, draw_k.fn, call_1.fn]
+        assert [pl.fn for pl in f.plan(step_list, narrow)] == [ideal.fn, draw_k.fn, call_1.fn]
         # an all-ideal game draws its ideal blocks and nothing else
         for game in ("g_ideal", "gi_prg", "gi_prf"):
             step_list = f.steps(p, game, ["ideal", "ideal"], f.field_query)
-            plans = f.plan(step_list)
+            plans = f.plan(step_list, narrow)
             assert [pl.fn for pl in plans] == [step_list[-1].fn] * 2
             assert all(pl.draw for pl in plans)
+        # gi_rf(1): the hidden v-update query, the step before the last
+        # visible one, leaves only the trace's field at its answer
+        step_list = f.steps(p, "gi_rf", games._call_shapes(p, "gi_rf", 1), f.field_query)
+        plans = f.plan(step_list, narrow)
+        ideal, hidden, visible = step_list[2:5]
+        assert [pl.fn for pl in plans] == [ideal.fn, hidden.fn, visible.fn]
+        assert plans[1].clear is narrow
+        assert [plans[0].clear, plans[2].clear] == [None, f.CLEAR[frozenset({f.V, f.ORC})]]
+        fields = (1 << 3 * 4) - 1  # all four 3-bit fields set
+        assert narrow(("adv", None, 2, False, fields)) == ("adv", None, 2, False, 0b111 << 6)
+        # games without an oracle carry no narrowing
+        jobs = [("g_real", None), ("g1_prg", None), ("g_ideal", None)]
+        jobs += [(game, j) for game in ("gi_prg", "gi_prf") for j in range(3)]
+        for game, j in jobs:
+            step_list = f.steps(p, game, games._call_shapes(p, game, j), f.field_query)
+            clears = {pl.clear for pl in f.plan(step_list, narrow)}
+            assert clears <= {None, *f.CLEAR.values()}, (game, j)
 
     def test_shared_shape_lists_share_a_joint(self):
         # the joint memo is keyed by shape list, while each game's step
@@ -796,9 +838,10 @@ class TestLumping:
             assert factored.propagate(p, "g1_prg", shapes) == factored.propagate(p, "gi_prg", shapes)
 
     # the peak merged-state count of one game's propagation: 12,888,
-    # 9,136 and 22,968 before dead slots were emptied
-    PEAKS = [((3, 2, 2), "gi_rf", 1, 2808), ((3, 3, 2), "gi_rb", 2, 6672),
-             ((3, 3, 2), "gi_rf", 2, 8296)]
+    # 9,136 and 22,968 before dead slots were emptied, then 2,808, 6,672,
+    # 8,296 and 54,256 before the trace was narrowed for its last query
+    PEAKS = [((3, 2, 2), "gi_rf", 1, 512), ((3, 3, 2), "gi_rb", 2, 2304),
+             ((3, 3, 2), "gi_rf", 2, 2304), ((4, 2, 2), "gi_rf", 1, 4096)]
 
     @pytest.mark.parametrize("point,game,j,bound", PEAKS)
     def test_peak_states(self, point, game, j, bound, monkeypatch):
