@@ -26,10 +26,10 @@ only at the field its last reader reads, the one at that query's input
 v, so the step before that query empties every other field. Exact joints
 depend only on what later steps read, so lumping states that differ
 only in dead slots or fields changes no mass (lumping, or bisimulation
-reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007). A draw adds eta bits to the common
-``2^bits`` denominator, and a state that ignores the drawn block (a
-random-function cache hit) collects all ``2^eta`` equal shares. Every
-mass is a Python int until the game ends.
+reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007). A draw adds
+eta bits to the common ``2^bits`` denominator, and a state that ignores
+the drawn block (a random-function cache hit) collects all ``2^eta``
+equal shares. Every mass is a Python int until the game ends.
 
 The sampler (:func:`sampler`) runs the same list as it stands, drawing
 by each step's rule, because a seeded trial must give the faithful
@@ -167,7 +167,7 @@ class Plan(NamedTuple):
 
     fn: Callable[[tuple, int], tuple]
     draw: bool  # whether the step's block is drawn (it lands in a live slot)
-    clear: Callable[[tuple], tuple] | None  # empties the slots that die here
+    clear: Callable[[tuple], tuple] | None  # empties the slots that die here, or narrows the trace
 
 
 def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
@@ -178,8 +178,9 @@ def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
     step reads it before one overwrites it; the adversary fold and bad
     are read at the end, so they never die. The oracle trace is live
     only at the field its last reader reads: the step before that query
-    also empties every other field (``narrow``, the trace format's own),
-    when the trace may hold any."""
+    empties every other field (``narrow``, the trace format's own) when
+    the trace may hold any and no slot dies there, which holds for every
+    list :func:`steps` writes."""
     moved: list[Step] = []
     waiting: dict[int, Step] = {}  # slot -> the draw-only step that fills it, unread so far
     for step in step_list:
@@ -207,8 +208,8 @@ def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
         dying = frozenset(touched & dead)
         draw = any(s not in dead for s in step.draws)
         clear = CLEAR[dying] if dying else None
-        if next_last and ORC in touched:  # the last query reads the trace only at v
-            clear = narrow if clear is None else lambda st, _c=clear: narrow(_c(st))
+        if next_last and ORC in touched and clear is None:
+            clear = narrow  # the next query, the trace's last reader, reads it only at v
         plans.append(Plan(step.fn, draw, clear))
         held = touched - dead
     return plans

@@ -26,9 +26,9 @@ drawn, so it marginalizes out. A backward liveness pass over the step
 list finds the slots that no later step reads, and each step empties
 them before its states merge; the step before the oracle's last query
 also empties every field of the oracle trace but the one that query
-reads. So states that differ only there are lumped. Every mass is a Python int over an implicit ``2^bits``
-denominator until the game ends. Tests pin it to the reference on every
-game family.
+reads. So states that differ only there are lumped. Every mass is a
+Python int over an implicit ``2^bits`` denominator until the game ends.
+Tests pin it to the reference on every game family.
 
 The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and

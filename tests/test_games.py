@@ -737,9 +737,9 @@ class TestLeanSampler:
          "return adv, k, v, bad, orc & field << v * width",
          "return adv, k, v, bad, orc & field << k * width",
          ("exact",)),
-        # each query then sees only a repeat of its own input's field as
-        # the query before left it: Pr[bad] drops at three or more queries,
-        # while no answer marginal moves
+        # a query after the first then sees only the previous query's
+        # input, so in a call of three queries a third input equal to the
+        # first goes unseen: Pr[bad] drops, while no answer marginal moves
         ("the trace is narrowed before every query",
          "last_read.append(ORC in step.reads and ORC not in live)",
          "last_read.append(ORC in step.reads)",
@@ -843,7 +843,10 @@ class TestLumping:
     PEAKS = [((3, 2, 2), "gi_rf", 1, 512), ((3, 3, 2), "gi_rb", 2, 2304),
              ((3, 3, 2), "gi_rf", 2, 2304), ((4, 2, 2), "gi_rf", 1, 4096)]
 
-    @pytest.mark.parametrize("point,game,j,bound", PEAKS)
+    # ids leave the bound out, so tightening one keeps the test's name
+    @pytest.mark.parametrize(
+        "point,game,j,bound", PEAKS, ids=["{}-{}-{}-{}-{}".format(*pt, g, j) for pt, g, j, _ in PEAKS]
+    )
     def test_peak_states(self, point, game, j, bound, monkeypatch):
         merge, peak = factored.merge, [0]
 
