@@ -37,7 +37,9 @@ list as it stands (``factored.sampler``): int blocks, ``prf_int`` as the
 only PRF, the adversary folded as the factored evaluator folds it, and
 every block drawn in the faithful tree's order, so each seed gives the
 faithful tree's outcome. Tests pin it trial by trial to the faithful
-trees.
+trees. Both interpreters call ``prf_int``, which for the default PRF is
+``prf.prf_small_int``: the LRU behind ``prf_small`` is the only PRF
+cache.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Any, Callable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
 from .factored import propagate, sampler
-from .prf import ZERO_OCTET, Block, prf_small
+from .prf import ZERO_OCTET, Block, prf_small, prf_small_int
 from .prob import (
     MIN_TRIALS,
     AdvantageEstimate,
@@ -220,9 +222,6 @@ class _TranscriptFold:
 # ----------------------------------------------------------------- parameters
 
 
-PRF_MEMO_CAP = 4096  # prf_int memo entries; eta <= 5 never fills it
-
-
 class HybridParams:
     """Shared parameters of the game family.
 
@@ -231,6 +230,11 @@ class HybridParams:
     Block, key then input, defaulting to ``prf_small``; adversary: any
     callable from full output to Comp of bool, wrapped in a
     ``_TranscriptFold`` unless it has the fold protocol.
+
+    ``prf_int(key, kind, value)`` is the same PRF over int blocks, the
+    step list's only PRF: kind 'c' is a chain input (eta bits), kind 'r'
+    a rekey input (eta bits + the zero octet). For the default it is
+    ``prf_small_int``, which keeps no cache of its own.
     """
 
     def __init__(
@@ -248,31 +252,23 @@ class HybridParams:
         self.eta = eta
         self.num_calls = num_calls
         self.blocks_per_call = blocks_per_call
-        self.prf = prf if prf is not None else prf_small
+        if prf is None:
+            self.prf, self.prf_int = prf_small, prf_small_int(eta)
+        else:
+            self.prf, self.prf_int = prf, self._block_prf_int
         adversary = adversary if adversary is not None else collision_detector
         if not all(hasattr(adversary, name) for name in _FOLD_PROTOCOL):
             adversary = _TranscriptFold(adversary, eta, blocks_per_call)
         self.adversary = adversary
-        self._prf_memo: dict[tuple[int, str, int], int] = {}
 
     def block(self, value: int) -> Block:
         return Block(self.eta, value)
 
-    def prf_int(self, key: int, kind: str, value: int) -> int:
-        """Integer-domain PRF: kind 'c' is a chain input (eta bits),
-        kind 'r' is a rekey input (eta bits + the zero octet)."""
-        memo_key = (key, kind, value)
-        hit = self._prf_memo.get(memo_key)
-        if hit is not None:
-            return hit
+    def _block_prf_int(self, key: int, kind: str, value: int) -> int:
         x = self.block(value)
         if kind == "r":
             x = x + ZERO_OCTET
-        out = self.prf(self.block(key), x).value
-        if len(self._prf_memo) >= PRF_MEMO_CAP:  # at wide eta every trial keys the PRF afresh
-            self._prf_memo.clear()
-        self._prf_memo[memo_key] = out
-        return out
+        return self.prf(self.block(key), x).value
 
 
 def _sample_block(p: HybridParams) -> Comp:
@@ -796,6 +792,15 @@ INEQUALITY_CHECKS = (
 
 ALL_CHECKS = EQUALITY_LEMMAS + INEQUALITY_CHECKS + ("main_theorem",)
 
+# the checks that compare whole runs, so they have no hybrid index
+UNINDEXED_CHECKS = (
+    "Generate_move_v_update",
+    "G_real_is_first_hybrid",
+    "G_ideal_is_last_hybrid",
+    "hybrid_argument",
+    "main_theorem",
+)
+
 
 @dataclass(frozen=True)
 class LemmaCheck:
@@ -843,7 +848,10 @@ def check_lemma(
     evaluator: GameEvaluator | None = None,
 ) -> list[LemmaCheck]:
     """Check one named lemma, at one hybrid index or at every
-    admissible index (the default)."""
+    admissible index (the default). A check in ``UNINDEXED_CHECKS``
+    takes no index."""
+    if i is not None and lemma in UNINDEXED_CHECKS:
+        raise ValueError(f"{lemma} takes no index, got i={i}")
     ev = evaluator if evaluator is not None else GameEvaluator(p)
     nc = p.num_calls
 

@@ -11,7 +11,8 @@ outputs are all Blocks, and a rekey input is ``v + ZERO_OCTET``.
 ``prf_small`` shrinks HMAC-SHA256 to a PRF keyed and answered by
 ``eta``-bit Blocks, so that probability experiments over the full input
 space stay enumerable at small ``eta`` while exercising the real
-compression function.
+compression function. ``prf_small_int`` is the same PRF over int
+blocks, for the games' step list, and shares its cache.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 SHA256_BLOCK_OCTETS = 64
 SHA256_OUTPUT_OCTETS = 32
@@ -148,6 +150,27 @@ def prf_small(key: Block, x: Block) -> Block:
     if eta > 256:
         raise ValueError(f"key width must be in 1..256, got {eta}")
     return Block(eta, _prf_small_raw(eta, key.value, x.eta, x.value))
+
+
+def prf_small_int(eta: int) -> Callable[[int, str, int], int]:
+    """``prf_small`` at key width ``eta`` over int blocks.
+
+    ``f(key, kind, value)`` is ``prf_small(Block(eta, key), x).value``,
+    where x is the chain input ``Block(eta, value)`` for kind 'c' and the
+    rekey input ``Block(eta, value) + ZERO_OCTET`` for kind 'r'. It builds
+    no Block per call, and the LRU behind ``prf_small`` is its only cache.
+    """
+    if not 1 <= eta <= 256:
+        raise ValueError(f"key width must be in 1..256, got {eta}")
+    raw, pad = _prf_small_raw, ZERO_OCTET.eta
+    rekey_width = eta + pad
+
+    def f(key: int, kind: str, value: int) -> int:
+        if kind == "c":
+            return raw(eta, key, eta, value)
+        return raw(eta, key, rekey_width, value << pad)
+
+    return f
 
 
 def hmac_block_prf(key: Block, x: Block) -> Block:

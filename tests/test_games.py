@@ -7,12 +7,14 @@ smallest sizes that still distinguish right from wrong.
 
 import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from drbglab import factored, games
 from drbglab.bounds import birthday_exact, pr_collisions
+from drbglab.drbg import DEFAULT_RESEED_INTERVAL, DrbgState, GenerateRequest, generate
 from drbglab.games import (
     ALL_CHECKS,
     CALIBRATION_SPECS,
@@ -46,7 +48,7 @@ from drbglab.games import (
     run_all_lemmas,
     _play,
 )
-from drbglab.prf import Block, prf_small
+from drbglab.prf import ZERO_OCTET, Block, hmac_block_prf, prf_small
 from drbglab.prob import (
     EnumerationCapExceeded,
     Flat,
@@ -375,6 +377,14 @@ class TestLemmas:
         with pytest.raises(ValueError):
             check_lemma(p, "no_such_lemma")
 
+    def test_unindexed_checks_reject_an_index(self):
+        p = params(2, 2, 2)
+        for lemma in ("Generate_move_v_update", "G_real_is_first_hybrid",
+                      "G_ideal_is_last_hybrid", "hybrid_argument", "main_theorem"):
+            for i in (0, 7):
+                with pytest.raises(ValueError, match="takes no index"):
+                    check_lemma(p, lemma, i=i)
+
     def test_identical_until_bad_package(self):
         p = params(2, 2, 2)
         ev = GameEvaluator(p)
@@ -612,6 +622,32 @@ def exact_mismatches(exact: list[Fraction]) -> list[int]:
             if GameEvaluator(params(eta, nc, bpc, adversary=adversary)).pr(game, i).mid != exact[j]]
 
 
+def drbg_mismatches(states: int = 50) -> list[tuple[int, int, int]]:
+    """The (blocks, k, v) at which the step list's 'spec' generate at eta
+    256, with the HMAC PRF, differs from drbg.generate on a request of
+    that many 32-octet blocks: in the output octets or in the new state."""
+    rng = random.Random(0x256)
+    out = []
+    for n in (1, 2, 3):
+        fn = factored.generate(
+            HybridParams(256, 1, n, prf=hmac_block_prf), "spec", lambda adv, x, eta: adv + (x,)
+        )
+        for _ in range(states):
+            k, v = rng.getrandbits(256), rng.getrandbits(256)
+            blocks, k2, v2, _, _ = fn(((), k, v, False, 0), None)
+            st = DrbgState(
+                key=k.to_bytes(32, "big"), v=v.to_bytes(32, "big"), reseed_counter=1,
+                entropy_len=32, prediction_resistance=False,
+                reseed_interval=DEFAULT_RESEED_INTERVAL,
+            )
+            octets, new = generate(st, GenerateRequest(32 * n))
+            got = (b"".join(x.to_bytes(32, "big") for x in blocks), k2.to_bytes(32, "big"),
+                   v2.to_bytes(32, "big"))
+            if got != (octets, new.key, new.v):
+                out.append((n, k, v))
+    return out
+
+
 class TestLeanSampler:
     """Monte Carlo samples the lean computation of each game's call
     shapes. It must draw in the faithful tree's order, so every seeded
@@ -666,19 +702,48 @@ class TestLeanSampler:
         assert exact_dist(asked) == exact_dist(want)
         assert [sample(asked, s) for s in range(50)] == [sample(want, s) for s in range(50)]
 
-    def test_prf_memo_is_bounded(self):
-        # at eta 16 nearly every trial keys the PRF afresh
-        misses = []
+    def test_default_prf_int_is_prf_small(self):
+        # the default prf_int goes straight to prf.py's cache on ints, so
+        # its chain and rekey encodings are pinned to prf_small on Blocks
+        def mismatches(eta, pairs):
+            f = HybridParams(eta, 1, 1).prf_int
+            return [
+                (key, value) for key, value in pairs
+                if f(key, "c", value) != prf_small(Block(eta, key), Block(eta, value)).value
+                or f(key, "r", value)
+                != prf_small(Block(eta, key), Block(eta, value) + ZERO_OCTET).value
+            ]
+
+        for eta in range(1, 5):
+            assert mismatches(eta, itertools.product(range(1 << eta), repeat=2)) == [], eta
+        rng = random.Random(0x1D7)
+        for eta in (16, 256):
+            pairs = [(rng.getrandbits(eta), rng.getrandbits(eta)) for _ in range(200)]
+            assert mismatches(eta, pairs) == [], eta
+
+    def test_custom_prf_sees_every_call(self):
+        # a PRF the caller passes gets no cache in front of it
+        calls = []
 
         def counted(key, x):
-            misses.append(x)
+            calls.append((key, x))
             return prf_small(key, x)
 
         p = HybridParams(16, 2, 2, prf=counted)
-        ev = GameEvaluator(p, trials=200, seed=0)
-        run_all_lemmas(p, evaluator=ev)
-        main_theorem_check(p, evaluator=ev)
-        assert len(misses) > games.PRF_MEMO_CAP >= len(p._prf_memo)
+        for _ in range(3):
+            p.prf_int(5, "c", 9)
+            p.prf_int(5, "r", 9)
+        assert calls == [(Block(16, 5), Block(16, 9)), (Block(16, 5), Block(24, 9 << 8))] * 3
+        # and, through the Block wrapper, the evaluator gives the records
+        # the default PRF gives
+        lines = lambda prf: [c.line() for c in run_all_lemmas(params(2, 2, 2, prf=prf))]
+        assert lines(counted) == lines(None)
+
+    def test_step_list_generate_matches_drbg(self):
+        # criterion 6 pins the faithful generate_spec to the DRBG; this
+        # pins the step list's, which the lemmas cannot check: they hold
+        # for any function in place of the PRF
+        assert drbg_mismatches() == []
 
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
     # Selection", IEEE Computer 1978): each one-line change to the shared
@@ -744,6 +809,13 @@ class TestLeanSampler:
          "last_read.append(ORC in step.reads and ORC not in live)",
          "last_read.append(ORC in step.reads)",
          ("bad",)),
+        # rekey and chain inputs are no longer kept apart. Every lemma
+        # holds for any function in place of the PRF, so none sees it;
+        # the pins against the faithful trees, literals or the DRBG do
+        ("the rekey uses the chain kind",
+         'k2 = f(k, "r", v)',
+         'k2 = f(k, "c", v)',
+         ("grid, plain coin", "calibration", "exact", "drbg at eta 256")),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
@@ -751,6 +823,7 @@ class TestLeanSampler:
         "runner, plain coin": lambda: runner_mismatches(TestEvaluatorModes.PLAIN[1]),
         "exact": lambda: exact_mismatches(TestCalibrationCorpus.EXACT),
         "bad": lambda: TestBadEvent.closed_form_mismatches(collision_detector),
+        "drbg at eta 256": drbg_mismatches,
     }
 
     @pytest.mark.parametrize(
@@ -763,6 +836,7 @@ class TestLeanSampler:
         exec(compile(source.replace(line, mutation), factored.__file__, "exec"), namespace)
         monkeypatch.setattr(games, "sampler", namespace["sampler"])
         monkeypatch.setattr(games, "propagate", namespace["propagate"])
+        monkeypatch.setattr(factored, "generate", namespace["generate"])
 
         def kills(pin: str) -> bool:
             try:
