@@ -793,7 +793,7 @@ INEQUALITY_CHECKS = (
 ALL_CHECKS = EQUALITY_LEMMAS + INEQUALITY_CHECKS + ("main_theorem",)
 
 # the checks that compare whole runs, so they have no hybrid index
-UNINDEXED_CHECKS = (
+_UNINDEXED = (
     "Generate_move_v_update",
     "G_real_is_first_hybrid",
     "G_ideal_is_last_hybrid",
@@ -848,9 +848,9 @@ def check_lemma(
     evaluator: GameEvaluator | None = None,
 ) -> list[LemmaCheck]:
     """Check one named lemma, at one hybrid index or at every
-    admissible index (the default). A check in ``UNINDEXED_CHECKS``
-    takes no index."""
-    if i is not None and lemma in UNINDEXED_CHECKS:
+    admissible index (the default). A check that compares whole runs
+    takes no index, so giving it one raises ValueError."""
+    if i is not None and lemma in _UNINDEXED:
         raise ValueError(f"{lemma} takes no index, got i={i}")
     ev = evaluator if evaluator is not None else GameEvaluator(p)
     nc = p.num_calls

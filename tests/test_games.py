@@ -748,8 +748,9 @@ class TestLeanSampler:
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
     # Selection", IEEE Computer 1978): each one-line change to the shared
     # step list, to either interpreter's query body or to the runner must
-    # fail the pins named for it. The exact pin reads the propagator, the
-    # others the sampler, and the exact pin must kill exactly the mutants
+    # fail the pins named for it. The exact and bad pins read the
+    # propagator, the drbg pin the step list's generate call, and the
+    # others the sampler. The exact pin must kill exactly the mutants
     # that name it: the draw-order mutants, the sampler's query body and
     # the runner leave every exact joint as it is, so only a sampler pin
     # sees them. (what the mutant does, the line, its mutation, the pins
