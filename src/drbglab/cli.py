@@ -47,8 +47,6 @@ from .games import (
     collision_detector,
     constant,
     first_bit,
-    main_theorem_check,
-    run_all_lemmas,
 )
 from .prf import HMAC_SHA256_RFC4231, hmac_sha256, sha256
 
@@ -153,12 +151,8 @@ def cmd_game(args: argparse.Namespace) -> int:
     adversary = _ADVERSARIES[args.adversary]
     params = HybridParams(args.eta, args.num_calls, args.blocks_per_call, adversary=adversary)
     evaluator = GameEvaluator(params, trials=args.trials, seed=args.seed)
-    checks: list[LemmaCheck] = []
-    if args.lemma == "all":
-        checks.extend(run_all_lemmas(params, evaluator=evaluator))
-        checks.append(main_theorem_check(params, evaluator=evaluator).check)
-    else:
-        checks.extend(check_lemma(params, args.lemma, evaluator=evaluator))
+    lemmas = ALL_CHECKS if args.lemma == "all" else (args.lemma,)
+    checks = [c for lemma in lemmas for c in check_lemma(params, lemma, evaluator=evaluator)]
     for check in checks:
         print(_check_record(check))
     failures = sum(1 for c in checks if not c.passed)
@@ -251,8 +245,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     params = HybridParams(2, 2, 2, adversary=collision_detector)
     evaluator = GameEvaluator(params)
-    checks = run_all_lemmas(params, evaluator=evaluator)
-    checks.append(main_theorem_check(params, evaluator=evaluator).check)
+    checks = [c for lemma in ALL_CHECKS for c in check_lemma(params, lemma, evaluator=evaluator)]
     ok = all(c.passed for c in checks) and all(c.mode == "exact" for c in checks)
     results.append(("lemma_suite_small_eta", ok))
 

@@ -9,7 +9,9 @@ function and then for a random-bits oracle, with a "bad event"
 every one of those games as a finite probabilistic computation
 (:mod:`.prob`) over ``eta``-bit blocks and checks the bridging lemmas as
 *exact rational* distribution equalities at small ``eta``, falling back
-to Monte Carlo estimation when exact evaluation is infeasible.
+to Monte Carlo estimation when exact evaluation is infeasible. Each
+check is declared once, as a row of ``LEMMA_TABLE``: its name, kind,
+hybrid index range and instance at one index.
 
 Every game has one shape, written once as a play loop: draw the initial
 state, serve each generate call of the run, and hand every output block
@@ -540,20 +542,22 @@ def gi_rb_bad(p: HybridParams, i: int) -> Comp:
 
 def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
     """One shape per generate call: 'ideal', 'spec', 'nov', 'v', or the
-    oracle mode 'prf'/'rf'/'rb' for call i of an oracle-swapped game."""
+    oracle mode 'prf'/'rf'/'rb' for call i of an oracle-swapped game.
+    Raises ValueError on a (game, i) pair that names no game: an index
+    on g_real, g1_prg or g_ideal, or a hybrid index out of range."""
     nc = p.num_calls
-    if game == "g_real":
-        return ["spec"] * nc
-    if game == "g1_prg":
-        i = 0
-    elif game == "g_ideal":
-        i = nc
-    elif game not in ("gi_prg", "gi_prf", "gi_rf", "gi_rb"):
-        raise ValueError(f"unknown game {game!r}")
-    else:
+    if game in ("g_real", "g1_prg", "g_ideal"):
+        if i is not None:
+            raise ValueError(f"game {game!r} takes no index, got i={i}")
+        if game == "g_real":
+            return ["spec"] * nc
+        i = 0 if game == "g1_prg" else nc
+    elif game in ("gi_prg", "gi_prf", "gi_rf", "gi_rb"):
         last = nc - (game in ("gi_rf", "gi_rb"))  # rf and rb need a call i to serve
         if i is None or not 0 <= i <= last:
             raise ValueError(f"i must be in 0..{last} for {game!r}, got {i}")
+    else:
+        raise ValueError(f"unknown game {game!r}")
     shapes = ["ideal" if c < i else "nov" if c == 0 else "v" for c in range(nc)]
     if game in ("gi_prf", "gi_rf", "gi_rb") and i < nc:
         shapes[i] = game[3:]
@@ -570,24 +574,13 @@ def _lean(p: HybridParams, game: str, i: int | None, with_bad: bool = False) -> 
 
 
 def build_game(p: HybridParams, game: str, i: int | None = None) -> Comp:
-    """The faithful computation tree for a named game."""
-    if game == "g_real":
-        return g_real(p)
-    if game == "g1_prg":
-        return g1_prg(p)
-    if game == "g_ideal":
-        return g_ideal(p)
-    if i is None:
-        raise ValueError(f"game {game!r} needs a hybrid index i")
-    if game == "gi_prg":
-        return gi_prg(p, i)
-    if game == "gi_prf":
-        return gi_prf(p, i)
-    if game == "gi_rf":
-        return gi_rf(p, i)
-    if game == "gi_rb":
-        return gi_rb(p, i)
-    raise ValueError(f"unknown game {game!r}")
+    """The faithful computation tree for a named game, at the (game, i)
+    pairs the evaluator takes: no index on g_real, g1_prg and g_ideal,
+    one in range on the hybrids."""
+    _call_shapes(p, game, i)
+    build = {"g_real": g_real, "g1_prg": g1_prg, "g_ideal": g_ideal,
+             "gi_prg": gi_prg, "gi_prf": gi_prf, "gi_rf": gi_rf, "gi_rb": gi_rb}[game]
+    return build(p) if i is None else build(p, i)
 
 
 # ------------------------------------------------------------ value intervals
@@ -668,7 +661,8 @@ class GameEvaluator:
     last query reads, and masses kept as ints over a ``2^bits``
     denominator until the game ends. Past the budget, or once the
     adversary's own coins outgrow what ``exact_dist`` enumerates, every
-    value is a Monte Carlo estimate with Clopper-Pearson intervals,
+    value whose joint is not already held is a Monte Carlo estimate with
+    Clopper-Pearson intervals,
     sampled from the game's lean computation (``factored.sampler``),
     which runs the same step list.
     Results are memoized per evaluator, so a lemma suite shares work
@@ -698,12 +692,13 @@ class GameEvaluator:
         (g_ideal, gi_prg(nc) and gi_prf(nc); g1_prg and gi_prg(0)): their
         step lists differ only in instantiate draws that nothing reads. An
         adversary whose own coins cannot be enumerated puts the evaluator
-        past its budget, like one the admission rule turns away."""
+        past its budget, like one the admission rule turns away; a joint
+        computed before that is still read."""
         shapes = _call_shapes(self.p, game, i)
         key = tuple(shapes)
-        if not self._factored:
-            return None
         if key not in self._joint:
+            if not self._factored:
+                return None
             try:
                 self._joint[key] = propagate(self.p, game, shapes)
             except EnumerationCapExceeded:
@@ -772,34 +767,9 @@ class GameEvaluator:
 
 
 # ------------------------------------------------------------- lemma checks
-
-
-EQUALITY_LEMMAS = (
-    "Generate_move_v_update",
-    "G_real_is_first_hybrid",
-    "G_ideal_is_last_hybrid",
-    "Gi_prog_equiv_prf_oracle",
-    "Gi_prog_equiv_rb_oracle",
-    "Gi_rb_rf_return_bad_same",
-    "Gi_rb_rf_no_bad_same",
-)
-
-INEQUALITY_CHECKS = (
-    "fundamental_lemma",
-    "Gi_Pr_bad_event_collisions",
-    "hybrid_argument",
-)
-
-ALL_CHECKS = EQUALITY_LEMMAS + INEQUALITY_CHECKS + ("main_theorem",)
-
-# the checks that compare whole runs, so they have no hybrid index
-_UNINDEXED = (
-    "Generate_move_v_update",
-    "G_real_is_first_hybrid",
-    "G_ideal_is_last_hybrid",
-    "hybrid_argument",
-    "main_theorem",
-)
+#
+# Each check of the hybrid argument is one row of LEMMA_TABLE, in the
+# order a suite runs them, so its name and index range are declared once.
 
 
 @dataclass(frozen=True)
@@ -841,6 +811,72 @@ def _leq_check(lemma: str, i: int | None, lhs: Iv, rhs: Iv, detail: str = "") ->
     )
 
 
+def _no_bad_same(lemma: str, p: HybridParams, ev: GameEvaluator, j: int) -> LemmaCheck:
+    """rb and rf give each answer with no bad event equal mass."""
+    pieces = [
+        (answer, ev.pr_joint_no_bad("rb", j, answer), ev.pr_joint_no_bad("rf", j, answer))
+        for answer in (True, False)
+    ]
+    passed = all(iv_equal(lhs, rhs) for _, lhs, rhs in pieces)
+    lhs_s = ", ".join(f"P[a={a} & !bad]={lhs}" for a, lhs, _ in pieces)
+    rhs_s = ", ".join(f"{rhs}" for _, _, rhs in pieces)
+    mode = _mode_of(*(v for _, lhs, rhs in pieces for v in (lhs, rhs)))
+    return LemmaCheck(lemma, j, mode, passed, lhs_s, rhs_s, "==")
+
+
+def _hybrid_argument(lemma: str, p: HybridParams, ev: GameEvaluator, j: None) -> LemmaCheck:
+    walk = end_to_end_distance(p, evaluator=ev)
+    detail = f"telescoped over {p.num_calls} adjacent pairs"
+    return _leq_check(lemma, None, walk.end_to_end, walk.total, detail=detail)
+
+
+class Lemma(NamedTuple):
+    """One row of LEMMA_TABLE: a check, its kind ('equality',
+    'inequality', or 'theorem' for the end-to-end bound), its hybrid
+    index range, i in 0..num_calls - short_by (1 for the calls an oracle
+    serves), or None for a check that compares whole runs, and at(name,
+    p, evaluator, i), its instance at one index."""
+
+    name: str
+    kind: str
+    short_by: int | None
+    at: Callable[[str, HybridParams, GameEvaluator, Any], LemmaCheck]
+
+
+LEMMA_TABLE = (
+    Lemma("Generate_move_v_update", "equality", None,
+          lambda name, p, ev, j: _eq_check(name, j, ev.pr("g_real"), ev.pr("g1_prg"))),
+    Lemma("G_real_is_first_hybrid", "equality", None,
+          lambda name, p, ev, j: _eq_check(name, j, ev.pr("g1_prg"), ev.pr("gi_prg", 0))),
+    Lemma("G_ideal_is_last_hybrid", "equality", None,
+          lambda name, p, ev, j: _eq_check(
+              name, j, ev.pr("g_ideal"), ev.pr("gi_prg", p.num_calls))),
+    Lemma("Gi_prog_equiv_prf_oracle", "equality", 0,
+          lambda name, p, ev, j: _eq_check(name, j, ev.pr("gi_prg", j), ev.pr("gi_prf", j))),
+    Lemma("Gi_prog_equiv_rb_oracle", "equality", 1,
+          lambda name, p, ev, j: _eq_check(name, j, ev.pr("gi_prg", j + 1), ev.pr("gi_rb", j))),
+    Lemma("Gi_rb_rf_return_bad_same", "equality", 1,
+          lambda name, p, ev, j: _eq_check(name, j, ev.pr_bad("rb", j), ev.pr_bad("rf", j))),
+    Lemma("Gi_rb_rf_no_bad_same", "equality", 1, _no_bad_same),
+    Lemma("fundamental_lemma", "inequality", 1,
+          lambda name, p, ev, j: _leq_check(
+              name, j, iv_absdiff(ev.pr("gi_rf", j), ev.pr("gi_rb", j)), ev.pr_bad("rb", j),
+              detail="|Pr[rf] - Pr[rb]| vs Pr[bad]")),
+    Lemma("Gi_Pr_bad_event_collisions", "inequality", 1,
+          lambda name, p, ev, j: _leq_check(
+              name, j, ev.pr_bad("rb", j),
+              Iv.of_fraction(pr_collisions(p.blocks_per_call, p.eta)),
+              detail="bad vs (1+n)^2/2^eta")),
+    Lemma("hybrid_argument", "inequality", None, _hybrid_argument),
+    Lemma("main_theorem", "theorem", None,
+          lambda name, p, ev, j: main_theorem_check(p, evaluator=ev).check),
+)
+
+ALL_CHECKS = tuple(row.name for row in LEMMA_TABLE)
+EQUALITY_LEMMAS = tuple(row.name for row in LEMMA_TABLE if row.kind == "equality")
+INEQUALITY_CHECKS = tuple(row.name for row in LEMMA_TABLE if row.kind == "inequality")
+
+
 def check_lemma(
     p: HybridParams,
     lemma: str,
@@ -850,102 +886,34 @@ def check_lemma(
     """Check one named lemma, at one hybrid index or at every
     admissible index (the default). A check that compares whole runs
     takes no index, so giving it one raises ValueError."""
-    if i is not None and lemma in _UNINDEXED:
+    row = next((row for row in LEMMA_TABLE if row.name == lemma), None)
+    if row is None:
+        raise ValueError(f"unknown lemma {lemma!r}")
+    indices = [i]
+    if row.short_by is not None:
+        last = p.num_calls - row.short_by
+        if i is None:
+            indices = list(range(last + 1))
+        elif not 0 <= i <= last:
+            raise ValueError(f"i must be in 0..{last} for {lemma}, got {i}")
+    elif i is not None:
         raise ValueError(f"{lemma} takes no index, got i={i}")
     ev = evaluator if evaluator is not None else GameEvaluator(p)
-    nc = p.num_calls
-
-    def indices(upper: int) -> list[int]:
-        if i is not None:
-            if not 0 <= i <= upper:
-                raise ValueError(f"i must be in 0..{upper} for {lemma}, got {i}")
-            return [i]
-        return list(range(upper + 1))
-
-    if lemma == "Generate_move_v_update":
-        return [_eq_check(lemma, None, ev.pr("g_real"), ev.pr("g1_prg"))]
-    if lemma == "G_real_is_first_hybrid":
-        return [_eq_check(lemma, None, ev.pr("g1_prg"), ev.pr("gi_prg", 0))]
-    if lemma == "G_ideal_is_last_hybrid":
-        return [_eq_check(lemma, None, ev.pr("g_ideal"), ev.pr("gi_prg", nc))]
-    if lemma == "Gi_prog_equiv_prf_oracle":
-        return [
-            _eq_check(lemma, j, ev.pr("gi_prg", j), ev.pr("gi_prf", j))
-            for j in indices(nc)
-        ]
-    if lemma == "Gi_prog_equiv_rb_oracle":
-        return [
-            _eq_check(lemma, j, ev.pr("gi_prg", j + 1), ev.pr("gi_rb", j))
-            for j in indices(nc - 1)
-        ]
-    if lemma == "Gi_rb_rf_return_bad_same":
-        return [
-            _eq_check(lemma, j, ev.pr_bad("rb", j), ev.pr_bad("rf", j))
-            for j in indices(nc - 1)
-        ]
-    if lemma == "Gi_rb_rf_no_bad_same":
-        out = []
-        for j in indices(nc - 1):
-            pieces = [
-                (
-                    answer,
-                    ev.pr_joint_no_bad("rb", j, answer),
-                    ev.pr_joint_no_bad("rf", j, answer),
-                )
-                for answer in (True, False)
-            ]
-            passed = all(iv_equal(lhs, rhs) for _, lhs, rhs in pieces)
-            lhs_s = ", ".join(f"P[a={a} & !bad]={lhs}" for a, lhs, _ in pieces)
-            rhs_s = ", ".join(f"{rhs}" for _, _, rhs in pieces)
-            mode = _mode_of(*(v for _, lhs, rhs in pieces for v in (lhs, rhs)))
-            out.append(LemmaCheck(lemma, j, mode, passed, lhs_s, rhs_s, "=="))
-        return out
-    if lemma == "fundamental_lemma":
-        out = []
-        for j in indices(nc - 1):
-            gap = iv_absdiff(ev.pr("gi_rf", j), ev.pr("gi_rb", j))
-            out.append(
-                _leq_check(
-                    lemma,
-                    j,
-                    gap,
-                    ev.pr_bad("rb", j),
-                    detail="|Pr[rf] - Pr[rb]| vs Pr[bad]",
-                )
-            )
-        return out
-    if lemma == "Gi_Pr_bad_event_collisions":
-        bound = Iv.of_fraction(pr_collisions(p.blocks_per_call, p.eta))
-        return [
-            _leq_check(lemma, j, ev.pr_bad("rb", j), bound, detail="bad vs (1+n)^2/2^eta")
-            for j in indices(nc - 1)
-        ]
-    if lemma == "hybrid_argument":
-        walk = end_to_end_distance(p, evaluator=ev)
-        return [
-            _leq_check(
-                lemma,
-                None,
-                walk.end_to_end,
-                walk.total,
-                detail=f"telescoped over {nc} adjacent pairs",
-            )
-        ]
-    if lemma == "main_theorem":
-        return [main_theorem_check(p, evaluator=ev).check]
-    raise ValueError(f"unknown lemma {lemma!r}")
+    return [row.at(lemma, p, ev, j) for j in indices]
 
 
 def run_all_lemmas(
     p: HybridParams, evaluator: GameEvaluator | None = None
 ) -> list[LemmaCheck]:
-    """All seven equality lemmas and all three inequality checks, each
-    at every admissible hybrid index, sharing one evaluator."""
+    """Every check of LEMMA_TABLE but the main theorem, each at every
+    admissible hybrid index, sharing one evaluator."""
     ev = evaluator if evaluator is not None else GameEvaluator(p)
-    out: list[LemmaCheck] = []
-    for lemma in EQUALITY_LEMMAS + INEQUALITY_CHECKS:
-        out.extend(check_lemma(p, lemma, evaluator=ev))
-    return out
+    return [
+        check
+        for row in LEMMA_TABLE
+        if row.kind != "theorem"
+        for check in check_lemma(p, row.name, evaluator=ev)
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from drbglab.games import (
     EQUALITY_LEMMAS,
     INEQUALITY_CHECKS,
     KV,
+    LEMMA_TABLE,
     CollisionAdversary,
     GameEvaluator,
     HybridParams,
@@ -398,6 +400,16 @@ class TestLemmas:
         assert len(INEQUALITY_CHECKS) == 3
         assert ALL_CHECKS == EQUALITY_LEMMAS + INEQUALITY_CHECKS + ("main_theorem",)
 
+    def test_readme_table_lists_every_check(self):
+        # one README row per check, in ALL_CHECKS order, with the index
+        # range LEMMA_TABLE declares for it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        rows = [[cell.strip(" `") for cell in line.split("|")[1:3]]
+                for line in readme.splitlines() if line.startswith("| `")]
+        assert [name for name, _ in rows] == list(ALL_CHECKS)
+        ranges = {None: "none", 0: "0..num_calls", 1: "0..num_calls−1"}
+        assert [where for _, where in rows] == [ranges[row.short_by] for row in LEMMA_TABLE]
+
 
 class TestEndToEnd:
     def test_telescoping(self):
@@ -499,6 +511,24 @@ class TestEvaluatorModes:
             got = ev.pr(game, j)
             assert not got.exact and got.lo <= F(1, 2) <= got.hi, (game, j)
 
+    def test_held_joint_outlives_the_budget(self):
+        # only the all-zero transcript draws more coins than exact_dist
+        # enumerates; gi_rb i=0 never shows it and g_ideal does. Once
+        # g_ideal puts the evaluator past its budget, the gi_rb joint it
+        # already holds still answers every query about that game
+        def adv(outs):
+            if all(b.value == 0 for sub in outs for b in sub):
+                return mapc(sample_bits(25), lambda x: x % 2 == 0)
+            return Return(outs[0][0] == outs[-1][0])
+
+        ev = GameEvaluator(params(2, 2, 1, adversary=adv), trials=200, seed=0)
+        assert ev.pr("gi_rb", 0) == Iv.of_fraction(F(7, 16))
+        assert not ev.pr("g_ideal").exact and ev.mode == "monte-carlo"
+        assert ev.pr_bad("rb", 0) == Iv.of_fraction(F(0))
+        assert ev.pr_joint_no_bad("rb", 0, True) == Iv.of_fraction(F(7, 16))
+        assert ev.pr_joint_no_bad("rb", 0, False) == Iv.of_fraction(F(9, 16))
+        assert not ev.pr("gi_rf", 0).exact  # a joint not yet held is estimated
+
     def test_monte_carlo_on_wide_blocks(self):
         p = HybridParams(16, 2, 2)
         ev = GameEvaluator(p, trials=500, seed=3)
@@ -548,6 +578,22 @@ class TestEvaluatorModes:
                 ev.pr("gi_rf")  # no hybrid index
             with pytest.raises(ValueError):
                 games.gi_prg(p, 7)
+
+    # gi_rf and gi_rb need a call i to serve; the whole-run games take no
+    # index. The faithful and lean builders, and the evaluator in both
+    # modes, refuse the same pairs
+    @pytest.mark.parametrize("game,i", [
+        ("gi_rf", 2), ("gi_rb", 2), ("g_real", 0), ("g1_prg", 1), ("g_ideal", 2),
+    ])
+    def test_rejected_game_index_pairs(self, game, i):
+        for eta in (2, 16):  # factored, then Monte Carlo
+            p = params(eta, 2, 2)
+            with pytest.raises(ValueError):
+                build_game(p, game, i)
+            with pytest.raises(ValueError):
+                games._lean(p, game, i)
+            with pytest.raises(ValueError):
+                GameEvaluator(p).pr(game, i)
 
 
 def faithful(p: HybridParams, game: str, i=None, with_bad=False):
@@ -817,6 +863,26 @@ class TestLeanSampler:
          'k2 = f(k, "r", v)',
          'k2 = f(k, "c", v)',
          ("grid, plain coin", "calibration", "exact", "drbg at eta 256")),
+        # the generate call's shapes: each moves every later output
+        ("the spec shape drops its final v update",
+         'v = f(k2, "c", v)',
+         "v = v",
+         ("calibration", "exact", "drbg at eta 256", "grid, plain coin")),
+        ("the v shape skips its leading v update",
+         'if shape == "v":\n            v = f(k, "c", v)',
+         'if shape == "v":\n            pass',
+         ("calibration", "exact", "grid, plain coin")),
+        ("the rekey reads the incoming v",
+         'k2 = f(k, "r", v)',
+         'k2 = f(k, "r", st[V])',
+         ("calibration", "exact", "drbg at eta 256", "grid, plain coin")),
+        # an equivalent mutant: a draw left in place lands in a slot dead
+        # until it is overwritten, so liveness skips it and every joint
+        # keeps its mass; no pin may kill it, the exact pin least of all
+        ("plan moves no draw",
+         "if not step.reads and step.draws == step.writes:",
+         "if False:",
+         ()),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
@@ -847,6 +913,40 @@ class TestLeanSampler:
 
         assert all(kills(pin) for pin in pins if pin != "exact"), what
         assert kills("exact") == ("exact" in pins), what
+
+    # The faithful trees are the specification every fast path is pinned
+    # to, so a one-line change to one of games.py's builders must fail the
+    # lean-vs-faithful pins. The exact pin reads the propagator alone, so
+    # it must kill none of them. (what the mutant does, the builder, the
+    # line, its mutation, the pins that kill it)
+    FAITHFUL_MUTANTS = [
+        ("generate_spec drops its final v update", "generate_spec",
+         "v2 = p.prf(k2, v_last)",
+         "v2 = v_last",
+         ("grid, plain coin", "calibration")),
+        ("generate_v chains from the incoming v", "generate_v",
+         "blocks, v_last = gen_loop(p, state.k, v1, n)",
+         "blocks, v_last = gen_loop(p, state.k, state.v, n)",
+         ("grid, plain coin", "calibration")),
+        ("random_func forgets its cache", "random_func",
+         "if past_inp == inp:",
+         "if False:",
+         ("grid, plain coin", "calibration")),
+    ]
+
+    @pytest.mark.parametrize(
+        "what,builder,line,mutation,pins", FAITHFUL_MUTANTS,
+        ids=[m[0].replace(" ", "-") for m in FAITHFUL_MUTANTS],
+    )
+    def test_faithful_mutant_fails_its_pin(self, what, builder, line, mutation, pins,
+                                           monkeypatch):
+        source = inspect.getsource(getattr(games, builder))
+        assert source.count(line) == 1, f"the mutated line must be in {builder} once"
+        namespace = dict(vars(games))
+        exec(compile(source.replace(line, mutation), games.__file__, "exec"), namespace)
+        monkeypatch.setattr(games, builder, namespace[builder])
+        assert all(self.PINS[pin]() != [] for pin in pins), what
+        assert self.PINS["exact"]() == [], what
 
 
 class TestLumping:
