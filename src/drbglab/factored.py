@@ -35,11 +35,11 @@ The sampler (:func:`sampler`) runs the same list as it stands, drawing
 by each step's rule, because a seeded trial must give the faithful
 tree's outcome. Its oracle trace is a small per-trial dict, since setting
 a field of a (eta+1)·2^eta-bit int costs too much at eta 16. It returns
-one ``prob.Flat`` node: a Comp with one ``Sample`` node per drawn block,
-which ``exact_dist`` enumerates, and a runner, one loop over the steps
-on a trial's SplitMix64 stream, which ``prob.sample`` calls. So
-``prob.sample``, ``exact_dist`` and ``estimate_pr_true`` run it
-unchanged, and a trial builds no node before the adversary answers.
+one ``prob.Flat`` node whose runner, one loop over the steps on a
+trial's SplitMix64 stream, ``prob.sample`` calls. So ``prob.sample`` and
+``estimate_pr_true`` run it unchanged, and a trial builds no node before
+the adversary answers. The node can only be sampled: exact values come
+from the propagator, which tests pin to the faithful trees.
 
 Both interpreters fold the adversary the same way: each visible output
 goes through ``adversary.absorb``, and a final fold state's Comp of bool
@@ -47,8 +47,7 @@ comes from ``adversary.answer``. The propagator reads a ``Return``
 answer directly and enumerates any other; the sampler ends its path with
 the answer, so the adversary's own coins are drawn last. Both read every
 leaf of the answer by ``prob.truth`` before it is keyed, so a non-bool
-answer raises at its own leaf. ``exact_dist`` on the lean computation
-shares each prefix's fold among all the leaves below it.
+answer raises at its own leaf.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .prob import Comp, Flat, Return, Sample, exact_dist, mapc, truth
+from .prob import Comp, Flat, Return, exact_dist, mapc, truth
 
 if TYPE_CHECKING:
     from .games import HybridParams
@@ -298,7 +297,7 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
 # One path per trial over the propagator's slots, the adversary slot
 # holding its fold, except that the oracle slot holds a dict from query
 # input to answer. Each op is a step's (rule, fn): when it draws a block,
-# as data that both the Comp and the runner read, and the state it leaves.
+# as data the runner reads, and the state it leaves.
 
 
 def dict_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, Any], tuple]:
@@ -327,10 +326,8 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     in the same order, and ends with the fold's ``answer``, each of its
     leaves read by ``prob.truth``: the adversary's own coins come last.
 
-    The result is a ``prob.Flat``: its comp is a tree of ``Sample``
-    nodes, one per drawn block, which ``exact_dist`` enumerates, and its
-    runner is one loop over the same ops on the trial's stream, which
-    ``prob.sample`` calls.
+    The result is a ``prob.Flat`` whose runner, one loop over the ops on
+    the trial's stream, ``prob.sample`` calls; it can only be sampled.
     """
     eta, adv = p.eta, p.adversary
     ops = [(s.rule, s.fn) for s in steps(p, game, shapes, dict_query)]
@@ -343,14 +340,6 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
             return answer  # what truth would pass through
         return mapc(answer, truth)
 
-    def go(pc: int, st: tuple) -> Comp:
-        for pc in range(pc, len(ops)):
-            rule, fn = ops[pc]
-            if rule is ALWAYS or rule is NEW_INPUT and st[V] not in st[ORC]:
-                return Sample(eta, lambda x, _fn=fn, _pc=pc, _st=st: go(_pc + 1, _fn(_st, x)))
-            st = fn(st, None)
-        return finish(st)
-
     def run(stream: Any) -> Comp:
         bits, st = stream.bits, start
         for rule, fn in ops:
@@ -361,4 +350,4 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
         return finish(st)
 
     start = (adv.initial(), None, None, False, {})
-    return Flat(go(0, start), run)
+    return Flat(run)

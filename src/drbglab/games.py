@@ -64,7 +64,7 @@ from .prob import (
     bind,
     clopper_pearson,
     estimate_pr_true,
-    exact_dist,
+    exact_dist,  # unused here; the monte_carlo benchmark laps calibration on this name
     mapc,
     query,
     run_with_oracle,
@@ -566,7 +566,8 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
 
 def _lean(p: HybridParams, game: str, i: int | None, with_bad: bool = False) -> Comp:
     """The lean computation Monte Carlo samples: the game's result, or
-    ``(result, bad)`` with_bad."""
+    ``(result, bad)`` with_bad. It is a ``prob.Flat``, so it can only be
+    sampled."""
     return sampler(p, game, _call_shapes(p, game, i), with_bad)
 
 
@@ -1014,18 +1015,18 @@ def calibration_games() -> list[tuple[str, Comp, Fraction]]:
     fall inside the estimator's confidence interval about as often as
     the confidence level promises.
 
-    Each entry pairs the game's lean computation, a ``prob.Flat`` whose
-    runner the estimator samples, with the enumeration of the Comp it
-    carries; tests pin every value as a literal and to the factored
-    evaluator, the runner's outcomes to that Comp's, and both to the
-    faithful tree's.
+    Each entry pairs the game's lean computation, which the estimator
+    samples, with the factored evaluator's exact value; tests pin every
+    value as a literal and to the enumeration of the faithful tree, and
+    the lean computation's seeded outcomes to that tree's.
     """
     out = []
     for game, eta, nc, bpc, adversary, adv_name, i in CALIBRATION_SPECS:
         p = HybridParams(eta, nc, bpc, adversary=adversary)
-        comp = _lean(p, game, i)
-        exact = exact_dist(comp, max_path_bits=18).pr_true
         where = "" if i is None else f" i={i}"
         name = f"{game}{where} eta={eta} calls={nc} blocks={bpc} adv={adv_name}"
-        out.append((name, comp, exact))
+        value = GameEvaluator(p).pr(game, i)
+        if not value.exact:
+            raise RuntimeError(f"calibration game {name} has no exact value: {value}")
+        out.append((name, _lean(p, game, i), value.mid))
     return out

@@ -7,10 +7,10 @@ A computation is a finite tree built from five node kinds:
   continue with ``k(drawn)``;
 - ``Query(input, k)`` — ask an oracle and continue with ``k(answer)``;
 - ``Bind(comp, f)`` — run ``comp``, then continue with ``f(result)``;
-- ``Flat(comp, run)`` — the plain computation ``comp`` with a faster
-  runner for sampling: ``run(stream)`` draws from the trial's stream
-  exactly what ``comp`` would draw and returns the computation left
-  over, so a sampled run continues from there on the same stream.
+- ``Flat(run)`` — a computation that can only be sampled:
+  ``run(stream)`` draws what it needs from the trial's stream and
+  returns the computation left over, so a sampled run continues from
+  there on the same stream.
 
 :func:`bind` is constant-time: it collapses ``bind(Return(v), f)`` to
 ``f(v)`` and otherwise builds one ``Bind`` node, without touching the
@@ -29,8 +29,8 @@ Two semantics are provided: :func:`exact_dist` enumerates every sample
 path and returns exact rational probabilities (``fractions.Fraction``),
 and :func:`sample` runs one pseudorandom path from a 64-bit seed using a
 SplitMix64 stream, so Monte Carlo estimates are reproducible across
-platforms and parallel schedules. Enumeration and :func:`run_with_oracle`
-expand a ``Flat`` node's ``comp``; only :func:`sample` calls its runner.
+platforms and parallel schedules. Only :func:`sample` runs a ``Flat``
+node; enumeration and :func:`run_with_oracle` refuse it.
 """
 
 from __future__ import annotations
@@ -76,16 +76,17 @@ class Bind:
 
 @dataclass(frozen=True)
 class Flat:
-    """``comp``, with ``run(stream)`` to sample it: run draws from the
-    trial's :class:`_SplitMix64` what ``comp`` draws on that path, in the
-    same order, and returns the computation ``comp`` would continue with
-    (at the latest its ``Return``). Tests pin the two to each other."""
+    """A computation sampled by ``run(stream)``: run draws from the
+    trial's :class:`_SplitMix64` and returns the computation to continue
+    with (at the latest a ``Return``). It has no tree to enumerate, so
+    :func:`exact_dist` and :func:`run_with_oracle` raise TypeError on it."""
 
-    comp: "Comp"
     run: Callable[["_SplitMix64"], "Comp"]
 
 
 Comp = Return | Sample | Query | Bind | Flat
+
+_FLAT_ONLY_SAMPLED = "a Flat node can only be sampled"
 
 # pending continuations, innermost first: None or (f, rest)
 _Konts = tuple[Callable[[Any], Comp], "_Konts"] | None
@@ -147,8 +148,7 @@ def run_with_oracle(comp: Comp, oracle: Oracle) -> Comp:
         while True:
             c, ks = _head(c, ks)
             if isinstance(c, Flat):
-                c = c.comp
-                continue
+                raise TypeError(_FLAT_ONLY_SAMPLED)
             if isinstance(c, Return):
                 return Return((c.value, state))
             if isinstance(c, Sample):
@@ -252,8 +252,8 @@ def exact_dist(comp: Comp, max_path_bits: int = DEFAULT_PATH_BITS) -> Distributi
                     f"path needs more than {max_path_bits} random bits"
                 )
             stack.append((map(c.k, range(1 << c.width)), bits + c.width, rest))
-        elif isinstance(c, Flat):  # a branch of one: the computation it carries
-            stack.append((iter((c.comp,)), bits, rest))
+        elif isinstance(c, Flat):
+            raise TypeError(_FLAT_ONLY_SAMPLED)
         else:
             raise TypeError(
                 "computation still contains Query nodes; "

@@ -227,7 +227,7 @@ class TestSampler:
 
 
 class TestFlat:
-    """A Flat node samples by its runner and enumerates by its Comp."""
+    """A Flat node is sampled by its runner, and only sampled."""
 
     # two bits, then a coin that the runner leaves to the Comp it returns
     COMP = bind(sample_bits(2), lambda x: mapc(coin(), lambda b: 2 * x + b))
@@ -239,34 +239,29 @@ class TestFlat:
 
     def test_sample_runs_the_runner(self):
         runs = []
-        node = Flat(self.COMP, lambda stream: runs.append(1) or self.run(stream))
+        node = Flat(lambda stream: runs.append(1) or self.run(stream))
         assert [sample(node, s) for s in range(64)] == [sample(self.COMP, s) for s in range(64)]
         assert len(runs) == 64
 
-    def test_exact_dist_expands_the_comp(self):
-        def unused(stream):
-            raise AssertionError("enumeration must not run the runner")
-
-        node = Flat(self.COMP, unused)
-        assert exact_dist(node) == exact_dist(self.COMP)
-        assert exact_dist(bind(coin(), lambda a: mapc(node, lambda x: (a, x)))) == exact_dist(
-            bind(coin(), lambda a: mapc(self.COMP, lambda x: (a, x))))
-
     def test_bind_continues_on_the_same_stream(self):
-        node = Flat(self.COMP, self.run)
+        node = Flat(self.run)
         after = lambda x: mapc(sample_bits(3), lambda y: (x, y))
         for s in range(64):
             assert sample(bind(node, after), s) == sample(bind(self.COMP, after), s)
             assert sample(bind(coin(), lambda _: node), s) == sample(
                 bind(coin(), lambda _: self.COMP), s)
 
-    def test_run_with_oracle_expands_the_comp(self):
+    def test_enumeration_and_oracle_refuse_it(self):
+        def unused(stream):
+            raise AssertionError("only sampling runs the runner")
+
+        node = Flat(unused)
+        for comp in (node, bind(coin(), lambda a: mapc(node, lambda x: (a, x)))):
+            with pytest.raises(TypeError, match="can only be sampled"):
+                exact_dist(comp)
         counter = Oracle(lambda st, inp: Return((inp + st, st + 1)), 10)
-        node = Flat(self.COMP, self.run)
-        asked = run_with_oracle(bind(node, query), counter)
-        want = mapc(self.COMP, lambda x: (x + 10, 11))
-        assert exact_dist(asked) == exact_dist(want)
-        assert [sample(asked, s) for s in range(32)] == [sample(want, s) for s in range(32)]
+        with pytest.raises(TypeError, match="can only be sampled"):
+            run_with_oracle(bind(node, query), counter)
 
 
 class TestEstimate:
