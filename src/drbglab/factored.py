@@ -6,9 +6,10 @@ lean sampler that Monte Carlo runs.
 :func:`steps` writes a game out once, in the faithful tree's order: the
 instantiate draws, then per call its steps (draw an eta-bit block, run
 one deterministic generate call, answer one oracle query). Each step
-carries its draw rule as data: always, never, or only on a new oracle
-input. The two interpreters keep different oracle states, so each
-passes in its own chain-query body; everything else is shared.
+declares the slots it reads and overwrites, and its draw rule, the only
+declaration of its draw: always, never, or only on a new oracle input.
+The two interpreters keep different oracle states, so each passes in
+its own chain-query body; everything else is shared.
 
 The factored evaluator (:func:`propagate`) runs the list forward over
 merged integer states (adversary fold, k, v, bad, oracle state). Its
@@ -20,12 +21,13 @@ the slot, and drops it when nothing does, so a sample nothing reads (the
 instantiate key of an ideal prefix or of an oracle game, the instantiate
 v before an ideal call) marginalizes out. One backward pass over the list
 then finds the slots no later step reads before overwriting them. Each
-step's transition empties those dead slots before its states merge, and
-a block that lands only in dead slots is not drawn. The trace is live
-only at the field its last reader reads, the one at that query's input
-v, so the step before that query empties every other field. Exact joints
-depend only on what later steps read, so lumping states that differ
-only in dead slots or fields changes no mass (lumping, or bisimulation
+step's transition empties those dead slots before its states merge.
+Each step whose rule is not never draws a block, and every such block
+lands in a live slot (see :func:`plan`). The trace is live only at the
+field its last reader reads, the one at that query's input v, so the
+step before that query empties every other field. Exact joints depend
+only on what later steps read, so lumping states that differ only in
+dead slots or fields changes no mass (lumping, or bisimulation
 reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007). A draw adds
 eta bits to the common ``2^bits`` denominator, and a state that ignores
 the drawn block (a random-function cache hit) collects all ``2^eta``
@@ -78,8 +80,7 @@ Query = Callable[["HybridParams", bool, bool], Callable[[tuple, Any], tuple]]
 class Step(NamedTuple):
     reads: tuple[int, ...]  # slots fn reads
     writes: tuple[int, ...]  # slots fn always overwrites
-    draws: tuple[int, ...]  # slots fn's fresh eta-bit block lands in; () if it takes none
-    rule: str  # when the faithful tree draws that block: ALWAYS, NEVER or NEW_INPUT
+    rule: str  # when the faithful tree draws fn's eta-bit block: ALWAYS, NEVER or NEW_INPUT
     fn: Callable[[tuple, Any], tuple]  # (state, block) -> state
 
 
@@ -117,9 +118,9 @@ def _drop(st: tuple, x: int) -> tuple:
     return st
 
 
-DRAW_K = Step((), (K,), (K,), ALWAYS, _set_k)  # also the rekey query of an rf or rb call
-DRAW_V = Step((), (V,), (V,), ALWAYS, _set_v)
-UNREAD = Step((), (), (), ALWAYS, _drop)  # gi_prf's instantiate k
+DRAW_K = Step((), (K,), ALWAYS, _set_k)  # also the rekey query of an rf or rb call
+DRAW_V = Step((), (V,), ALWAYS, _set_v)
+UNREAD = Step((), (), ALWAYS, _drop)  # gi_prf's instantiate k
 
 
 def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[Step]:
@@ -142,19 +143,18 @@ def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[S
         out = []
     for c, shape in enumerate(shapes):
         if shape == "ideal":
-            out += [Step((), (V,), (ADV, V), ALWAYS, ideal_block)] * n
+            out += [Step((ADV,), (V,), ALWAYS, ideal_block)] * n  # reads the fold it absorbs into
         elif shape in ("rf", "rb"):
             cache = shape == "rf"
             rule = NEW_INPUT if cache else ALWAYS
-            lands = (V, ORC) if cache else (V,)
             if c > 0:  # the v update that leads the call is a hidden query
-                out.append(Step((V, ORC), (V,), lands, rule, query(p, cache, visible=False)))
-            out += [Step((V, ORC), (V,), (ADV,) + lands, rule, query(p, cache, visible=True))] * n
+                out.append(Step((V, ORC), (V,), rule, query(p, cache, visible=False)))
+            out += [Step((V, ORC), (V,), rule, query(p, cache, visible=True))] * n
             out.append(DRAW_K)  # the rekey query: its padded input never repeats
         else:  # a deterministic call; prf mode runs on the oracle key in the k slot
             if shape == "prf":
                 shape = "nov" if c == 0 else "v"
-            out.append(Step((K, V), (K, V), (), NEVER, generate(p, shape, absorb)))
+            out.append(Step((K, V), (K, V), NEVER, generate(p, shape, absorb)))
     return out
 
 
@@ -165,25 +165,30 @@ class Plan(NamedTuple):
     """How propagate runs one step."""
 
     fn: Callable[[tuple, int], tuple]
-    draw: bool  # whether the step's block is drawn (it lands in a live slot)
+    draw: bool  # whether the step takes an eta-bit block: its rule is not NEVER
     clear: Callable[[tuple], tuple] | None  # empties the slots that die here, or narrows the trace
 
 
 def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
-    """Each draw-only step (no reads, its block landing in the slots it
-    writes) moves to just before the first step that reads its slot, and
-    goes when a step overwrites the slot first or none reads it. Then
-    liveness over the list: a slot is dead after a step when no later
-    step reads it before one overwrites it; the adversary fold and bad
-    are read at the end, so they never die. The oracle trace is live
-    only at the field its last reader reads: the step before that query
-    empties every other field (``narrow``, the trace format's own) when
-    the trace may hold any and no slot dies there, which holds for every
-    list :func:`steps` writes."""
+    """Each draw-only step (it reads nothing and its rule draws, so its
+    block only fills the slots it writes) moves to just before the first
+    step that reads its slot, and goes when a step overwrites the slot
+    first or none reads it. Then liveness over the list: a slot is dead
+    after a step when no later step reads it before one overwrites it;
+    the adversary fold and bad are read at the end, so they never die.
+    The oracle trace is live only at the field its last reader reads:
+    the step before that query empties every other field (``narrow``,
+    the trace format's own) when the trace may hold any and no slot dies
+    there, which holds for every list :func:`steps` writes.
+
+    So a step draws by its rule alone, since every kept draw lands in a
+    live slot: a draw-only step's slot is read next, an ideal block and
+    a visible query absorb into the fold, and a hidden query's answer is
+    the next query's input."""
     moved: list[Step] = []
     waiting: dict[int, Step] = {}  # slot -> the draw-only step that fills it, unread so far
     for step in step_list:
-        if not step.reads and step.draws == step.writes:
+        if not step.reads and step.rule is not NEVER:
             waiting.update((s, step) for s in step.writes)
             continue
         moved += [waiting.pop(s) for s in step.reads if s in waiting]
@@ -203,9 +208,9 @@ def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
     plans = []
     held: set[int] = set()  # slots that may hold more than their empty value
     for step, dead, next_last in zip(moved, dead_after, last_read[1:] + [False]):
-        touched = held | set(step.reads) | set(step.writes) | set(step.draws)
+        touched = held | set(step.reads) | set(step.writes)
         dying = frozenset(touched & dead)
-        draw = any(s not in dead for s in step.draws)
+        draw = step.rule is not NEVER
         clear = CLEAR[dying] if dying else None
         if next_last and ORC in touched and clear is None:
             clear = narrow  # the next query, the trace's last reader, reads it only at v
@@ -215,9 +220,10 @@ def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
 
 
 def field_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, int], tuple]:
-    """The propagator's chain query on an int of (eta+1)-bit fields. In
-    rb mode the state resets to 0 once bad is set: bad never clears, and
-    only bad reads an rb trace."""
+    """The propagator's chain query on an int of (eta+1)-bit fields, by
+    the sampler's rule: a repeated input sets bad, and rf answers it from
+    its field; a new input records its field, answer+1 under rf and 1
+    under rb. Every query takes a block, which an rf cache hit ignores."""
     eta, absorb = p.eta, p.adversary.absorb
     width = eta + 1  # one oracle-state field per input
     field = (1 << width) - 1
@@ -226,16 +232,12 @@ def field_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple,
         adv, k, v, bad, orc = st
         shift = v * width
         seen = orc >> shift & field
-        if cache:
-            if seen:
-                x, bad = seen - 1, True
-            else:
-                orc |= (x + 1) << shift
-        elif not bad:
-            if seen:
-                orc, bad = 0, True
-            else:
-                orc |= 1 << shift
+        if seen:
+            bad = True
+            if cache:
+                x = seen - 1
+        else:
+            orc |= (x + 1 if cache else 1) << shift
         return (absorb(adv, x, eta) if visible else adv), k, x, bad, orc
 
     return fn
@@ -269,7 +271,7 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
     bits = 0
 
     for fn, draw, clear in plan(steps(p, game, shapes, field_query), field_narrow(p)):
-        # a block that lands only in dead slots is not drawn: its value is emptied
+        # a step whose rule is NEVER takes no block; an rf cache hit draws one and ignores it
         xs = space if draw else (0,)
         bits += p.eta if draw else 0
         if clear is None:

@@ -789,8 +789,8 @@ class TestLeanSampler:
         # rf keeps no answers, so it never sees a repeat: one mutant per
         # query body, each seen only by its own interpreter's pins
         ("rf forgets its cache in the propagator",
-         "orc |= (x + 1) << shift",
-         "orc |= 0",
+         "orc |= (x + 1 if cache else 1) << shift",
+         "orc |= (0 if cache else 1) << shift",
          ("exact",)),
         ("rf forgets its cache in the sampler",
          "trace = {**trace, v: x}",
@@ -835,13 +835,25 @@ class TestLeanSampler:
          'k2 = f(k, "r", v)',
          'k2 = f(k, "r", st[V])',
          ("calibration", "exact", "drbg at eta 256", "grid, plain coin")),
-        # an equivalent mutant: a draw left in place lands in a slot dead
-        # until it is overwritten, so liveness skips it and every joint
-        # keeps its mass; no pin may kill it, the exact pin least of all
+        # an equivalent mutant: a draw left in place may land in a slot
+        # dead until it is overwritten, which scales every mass and the
+        # denominator alike; no pin may kill it, the exact pin least of
+        # all, while test_every_planned_draw_lands_live does
         ("plan moves no draw",
-         "if not step.reads and step.draws == step.writes:",
+         "if not step.reads and step.rule is not NEVER:",
          "if False:",
          ()),
+        # the rule is each step's only draw declaration: an ideal block
+        # that declares no read is moved like a draw-only step, or dropped
+        ("an ideal block does not declare its read of the fold",
+         "Step((ADV,), (V,), ALWAYS, ideal_block)",
+         "Step((), (V,), ALWAYS, ideal_block)",
+         ("exact",)),
+        # every rf query then answers a new input with block 0
+        ("the propagator does not draw for an rf query",
+         "draw = step.rule is not NEVER",
+         "draw = step.rule is ALWAYS",
+         ("exact", "bad")),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
@@ -965,6 +977,27 @@ class TestLumping:
             step_list = f.steps(p, game, games._call_shapes(p, game, j), f.field_query)
             clears = {pl.clear for pl in f.plan(step_list, narrow)}
             assert clears <= {None, *f.CLEAR.values()}, (game, j)
+
+    def test_every_planned_draw_lands_live(self):
+        # what lets the propagator draw by a step's rule alone: each kept
+        # draw-only step (no reads, a rule that draws) fills slots that a
+        # later step reads before any overwrites them
+        f, dead = factored, []
+        for p, (game, j, with_bad) in grid_jobs(collision_detector):
+            if with_bad:
+                continue
+            step_list = f.steps(p, game, games._call_shapes(p, game, j), f.field_query)
+            by_fn = {step.fn: step for step in step_list}
+            kept = [by_fn[pl.fn] for pl in f.plan(step_list, f.field_narrow(p))]
+            for at, step in enumerate(kept):
+                if step.reads or step.rule is f.NEVER:
+                    continue
+                for slot in step.writes:
+                    uses = (s for s in kept[at + 1:] if slot in s.reads or slot in s.writes)
+                    first = next(uses, None)
+                    if first is None or slot not in first.reads:
+                        dead.append(((p.eta, p.num_calls, p.blocks_per_call), game, j, at, slot))
+        assert dead == []
 
     def test_shared_shape_lists_share_a_joint(self):
         # the joint memo is keyed by shape list, while each game's step
