@@ -33,6 +33,24 @@ eta bits to the common ``2^bits`` denominator, and a state that ignores
 the drawn block (a random-function cache hit) collects all ``2^eta``
 equal shares. Every mass is a Python int until the game ends.
 
+When no step of a list reads K (the PRF, the one operation that reads
+a value beyond equality, runs only in generate calls, on their key) and
+the adversary's fold has a symmetric form (``adversary.symmetric``),
+:func:`propagate` runs the list over labelled states instead. Any
+permutation of the block values that keeps the fold's colour classes
+then maps a run to an equally likely run with the same answer and bad
+flag, so after each step the live values are renumbered to the lowest
+values of their class, in a fixed traversal order (v, the dict trace in
+insertion order, the values only the fold holds), and states of one
+orbit merge. A draw lands on each live value with weight 1 and on one
+fresh representative per class with the rest of that class's weight.
+This is symmetry reduction with scalarsets (Ip & Dill, "Better
+Verification Through Symmetry", Formal Methods in System Design 1996;
+Kwiatkowska, Norman & Parker, "Symmetry Reduction for Probabilistic
+Model Checking", CAV 2006). The steps, ``plan`` and ``CLEAR`` run
+unchanged on the representatives, with the sampler's dict trace. The
+concrete interpreter stays as the reference tests pin it to.
+
 The sampler (:func:`sampler`) runs the same list as it stands, drawing
 by each step's rule, because a seeded trial must give the faithful
 tree's outcome. Its oracle trace is a small per-trial dict, since setting
@@ -54,7 +72,9 @@ answer raises at its own leaf.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from .prob import Comp, Flat, Return, exact_dist, mapc, truth
@@ -141,6 +161,7 @@ def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[S
         out = [DRAW_K, DRAW_V]
     else:
         out = []
+    keyed = False  # whether a deterministic call has replaced the k slot's first key
     for c, shape in enumerate(shapes):
         if shape == "ideal":
             out += [Step((ADV,), (V,), ALWAYS, ideal_block)] * n  # reads the fold it absorbs into
@@ -153,7 +174,12 @@ def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[S
             out.append(DRAW_K)  # the rekey query: its padded input never repeats
         else:  # a deterministic call; prf mode runs on the oracle key in the k slot
             if shape == "prf":
+                if keyed:
+                    raise ValueError(
+                        f"a prf call must precede every deterministic call, got {shapes}: "
+                        "the k slot then holds that call's key, not the oracle's")
                 shape = "nov" if c == 0 else "v"
+            keyed = True
             out.append(Step((K, V), (K, V), NEVER, generate(p, shape, absorb)))
     return out
 
@@ -265,9 +291,25 @@ def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
 
 def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool, bool], Fraction]:
     """Exact joint distribution of (adversary answer, bad) in the game
-    whose generate calls have these shapes."""
-    adv, space = p.adversary, range(1 << p.eta)
-    dist = {(adv.initial(), None, None, False, 0): 1}
+    whose generate calls have these shapes: over labelled states when
+    every step of its list only compares block values and the fold has a
+    symmetric form, else over concrete ones."""
+    sym = p.adversary.symmetric(p.eta)
+    step_list = steps(p, game, shapes, dict_query)
+    # the PRF is the one operation that reads a value beyond equality,
+    # and every step that runs it (a generate call) reads its key from K
+    if sym is None or any(K in step.reads for step in step_list):
+        return _propagate_concrete(p, game, shapes)
+    return _joint(p, *_propagate_labelled(p, sym, step_list))
+
+
+def _propagate_concrete(
+    p: HybridParams, game: str, shapes: list[str]
+) -> dict[tuple[bool, bool], Fraction]:
+    """:func:`propagate` over every concrete block value: the reference
+    the labelled path is pinned to."""
+    space = range(1 << p.eta)
+    dist = {(p.adversary.initial(), None, None, False, 0): 1}
     bits = 0
 
     for fn, draw, clear in plan(steps(p, game, shapes, field_query), field_narrow(p)):
@@ -278,8 +320,14 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
             dist = merge((fn(st, x), mass) for st, mass in dist.items() for x in xs)
         else:
             dist = merge((clear(fn(st, x)), mass) for st, mass in dist.items() for x in xs)
+    return _joint(p, dist, bits)
 
-    # masses over 2^bits: an int while every answer is a Return
+
+def _joint(p: HybridParams, dist: dict[tuple, int], bits: int) -> dict[tuple[bool, bool], Fraction]:
+    """The (answer, bad) joint of final states whose masses are over
+    ``2^bits``."""
+    adv = p.adversary
+    # an int while every answer is a Return
     joint: dict[tuple[bool, bool], int | Fraction] = {}
     for (adv_state, bad), mass in merge(((st[0], st[3]), m) for st, m in dist.items()).items():
         answer = adv.answer(adv_state)
@@ -292,6 +340,106 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
             if share:
                 joint[value, bad] = joint.get((value, bad), 0) + share
     return {key: Fraction(mass, 1 << bits) for key, mass in joint.items()}
+
+
+# ---------------------------------------------------------------- labelled states
+#
+# A labelled state holds one representative per orbit: after each step
+# its live values are renumbered to the lowest values of their colour
+# classes (see the module docstring), so a draw's fresh value in a class
+# is the lowest one no slot holds. The trace is the sampler's dict,
+# since the field int would need (eta+1)·2^eta bits at wide eta.
+
+
+class Symmetry(NamedTuple):
+    """A fold's symmetric form, ``adversary.symmetric(eta)``: the fold
+    reads the values it absorbs only by equality and by colour. Colour
+    class c holds the values from ``bounds(state)[c]`` up to
+    ``bounds(state)[c+1]``, so its lowest values are its
+    representatives; along a run classes may merge but never split."""
+
+    bounds: Callable[[Any], tuple[int, ...]]
+    held: Callable[[Any], Iterable[int]] = lambda state: ()  # the values a fold state holds
+    relabel: Callable[[Any, dict[int, int]], Any] = lambda state, label: state  # renamed by label
+
+
+class _Trace(dict):
+    """A labelled state's dict trace, hashed by its contents as dicts
+    compare, so that the state can key a merge."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+
+def dict_narrow(st: tuple) -> tuple:
+    """Empties every entry of a dict trace but the one at v, the only one
+    a query reads."""
+    adv, k, v, bad, trace = st
+    return adv, k, v, bad, {v: trace[v]} if v in trace else {}
+
+
+def _live(sym: Symmetry, st: tuple) -> dict[int, None]:
+    """The values a labelled state holds, once each, in traversal order:
+    v, the trace in insertion order, then those only the fold holds. K
+    holds none, since no step of a labelled list touches it."""
+    adv, _, v, _, trace = st
+    order = [] if v is None else [v]
+    if isinstance(trace, dict):  # else 0, once the trace is dead
+        for entry in trace.items():
+            order += entry
+    order += sym.held(adv)
+    return dict.fromkeys(order)
+
+
+def _canonical(sym: Symmetry, st: tuple) -> tuple:
+    """The state of st's orbit whose live values are the lowest of their
+    classes, numbered in traversal order."""
+    adv, k, v, bad, trace = st
+    bounds = sym.bounds(adv)
+    free = list(bounds[:-1])  # each class's next representative
+    label: dict[int, int] = {}
+    for x in _live(sym, st):
+        c = bisect_right(bounds, x) - 1
+        label[x] = free[c]
+        free[c] += 1
+    if isinstance(trace, dict):
+        trace = _Trace((label[a], label[b]) for a, b in trace.items())
+    return sym.relabel(adv, label), k, None if v is None else label[v], bad, trace
+
+
+def _landings(sym: Symmetry, st: tuple) -> list[tuple[int, int]]:
+    """Where a draw over a canonical state lands, as (value, weight)
+    pairs whose weights sum to the number of values: each live value with
+    weight 1, and the lowest free value of each class with the count of
+    that class's values no slot holds."""
+    live = _live(sym, st)
+    bounds = sym.bounds(st[ADV])
+    free = list(bounds[:-1])
+    for x in live:
+        free[bisect_right(bounds, x) - 1] += 1
+    fresh = [(lowest, end - lowest) for lowest, end in zip(free, bounds[1:]) if lowest < end]
+    return [(x, 1) for x in live] + fresh
+
+
+def _propagate_labelled(
+    p: HybridParams, sym: Symmetry, step_list: list[Step]
+) -> tuple[dict[tuple, int], int]:
+    """The final canonical states of a list whose steps only compare
+    values, with their masses over ``2^bits``, and bits."""
+    canonical = partial(_canonical, sym)
+    dist = {canonical((p.adversary.initial(), None, None, False, _Trace())): 1}
+    bits = 0
+    for fn, draw, clear in plan(step_list, dict_narrow):
+        bits += p.eta if draw else 0
+        finish = canonical if clear is None else lambda st, _clear=clear: canonical(_clear(st))
+        dist = merge(
+            (finish(fn(st, x)), mass * weight)
+            for st, mass in dist.items()
+            for x, weight in (_landings(sym, st) if draw else ((0, 1),))
+        )
+    return dist, bits
 
 
 # ---------------------------------------------------------------- the sampler

@@ -30,7 +30,14 @@ them before its states merge; the step before the oracle's last query
 also empties every field of the oracle trace but the one that query
 reads. So states that differ only there are lumped. Every mass is a
 Python int over an implicit ``2^bits`` denominator until the game ends.
-Tests pin it to the reference on every game family.
+Tests pin it to the reference on every game family. A list with no
+generate call (``g_ideal``, and ``gi_rf``/``gi_rb`` at the last index)
+only compares block values, so under a fold with a symmetric form it
+runs over labelled states: states that differ by a relabelling of the
+block values that keeps the fold's colours are lumped, each live value
+renumbered to the lowest of its class (symmetry reduction with
+scalarsets: Ip & Dill, FMSD 1996; Kwiatkowska, Norman & Parker, CAV
+2006). Tests pin it to the concrete interpreter on every such list.
 
 The evaluator reads every probability off one exact ``(answer, bad)``
 joint per game when the adversary's fold state bound fits a budget, and
@@ -52,7 +59,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .bounds import format_rational, pr_collisions
-from .factored import propagate, sampler
+from .factored import Symmetry, propagate, sampler
 from .prf import ZERO_OCTET, Block, prf_small, prf_small_int
 from .prob import (
     MIN_TRIALS,
@@ -87,7 +94,11 @@ class KV(NamedTuple):
 # eta) takes one output block's int value, answer(state) is the Comp of
 # bool the adversary returns on that output, and state_bound(eta,
 # total_blocks) bounds the distinct states, for the factored evaluator's
-# admission rule. answer's own coins are drawn after every output, as in
+# admission rule. symmetric(eta) is the fold's form under relabelling of
+# block values (a factored.Symmetry), or None when the fold may read a
+# value beyond equality and colour: collision and constant have one
+# colour class, and first-bit colours values by their top bit until its
+# state is set. answer's own coins are drawn after every output, as in
 # the faithful trees. The built-in adversaries fold into a few states and
 # answer with a Return; HybridParams wraps any other callable in a
 # _TranscriptFold.
@@ -111,6 +122,10 @@ class ConstantAdversary:
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 1
+
+    def symmetric(self, eta: int) -> Symmetry:
+        one = (0, 1 << eta)
+        return Symmetry(lambda state: one)
 
 
 @dataclass(frozen=True)
@@ -136,6 +151,11 @@ class FirstBitAdversary:
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 3
+
+    def symmetric(self, eta: int) -> Symmetry:
+        # the top bit colours a value until the first block sets the state
+        by_bit, one = (0, 1 << (eta - 1), 1 << eta), (0, 1 << eta)
+        return Symmetry(lambda state: by_bit if state is None else one)
 
 
 _DUP = "dup"  # absorbing fold state once a repeated block is seen
@@ -178,6 +198,14 @@ class CollisionAdversary:
             total += math.comb(space, k)
         return total + 1
 
+    def symmetric(self, eta: int) -> Symmetry:
+        one = (0, 1 << eta)
+        return Symmetry(
+            lambda state: one,
+            lambda state: () if state == _DUP else state,
+            lambda state, label: state if state == _DUP else frozenset(label[x] for x in state),
+        )
+
 
 def constant(result: bool) -> ConstantAdversary:
     return ConstantAdversary(result)
@@ -186,7 +214,7 @@ def constant(result: bool) -> ConstantAdversary:
 first_bit = FirstBitAdversary()
 collision_detector = CollisionAdversary()
 
-_FOLD_PROTOCOL = ("initial", "absorb", "answer", "state_bound")
+_FOLD_PROTOCOL = ("initial", "absorb", "answer", "state_bound", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -219,6 +247,9 @@ class _TranscriptFold:
 
     def state_bound(self, eta: int, total_blocks: int) -> int:
         return 1 << (eta * total_blocks)  # every full transcript
+
+    def symmetric(self, eta: int) -> None:
+        return None  # a plain callable may read a value in any way
 
 
 # ----------------------------------------------------------------- parameters
@@ -660,7 +691,11 @@ class GameEvaluator:
     states, with each draw moved to its first read, the slots no later
     step reads emptied, the oracle trace narrowed to the one field its
     last query reads, and masses kept as ints over a ``2^bits``
-    denominator until the game ends. Past the budget, or once the
+    denominator until the game ends. A list with no generate call, under
+    a fold with a symmetric form, runs over labelled states, which lump
+    states that differ by a relabelling of block values (Ip & Dill, FMSD
+    1996; Kwiatkowska, Norman & Parker, CAV 2006); the admission rule is
+    the same for both. Past the budget, or once the
     adversary's own coins outgrow what ``exact_dist`` enumerates, every
     value whose joint is not already held is a Monte Carlo estimate with
     Clopper-Pearson intervals,

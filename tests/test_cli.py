@@ -28,6 +28,9 @@ from drbglab.cli import (
 from drbglab.games import ALL_CHECKS
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def vector_path(name: str) -> str:
     return str(resources.files("drbglab").joinpath(f"vectors/{name}"))
 
@@ -233,6 +236,17 @@ class TestGame:
         ])
         assert code == EXIT_OK
         assert "mode=monte-carlo" in out[-1]
+
+    # every record of these runs is exact, so their output is fixed byte
+    # for byte; recorded before the exact path lumped relabelled states
+    @pytest.mark.parametrize("argv,golden", [
+        (["--eta", "4"], "game_eta4.txt"),
+        (["--eta", "5", "--adversary", "first-bit"], "game_eta5_first_bit.txt"),
+    ], ids=["eta4-collision", "eta5-first-bit"])
+    def test_output_matches_golden(self, capsys, argv, golden):
+        code = main(["game", *argv])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="ascii")
 
     def test_unknown_lemma_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

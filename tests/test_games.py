@@ -5,6 +5,7 @@ live in the acceptance tests; here each moving part is exercised at the
 smallest sizes that still distinguish right from wrong.
 """
 
+import functools
 import inspect
 import itertools
 import random
@@ -646,6 +647,46 @@ def exact_mismatches(exact: list[Fraction]) -> list[int]:
             if GameEvaluator(params(eta, nc, bpc, adversary=adversary)).pr(game, i).mid != exact[j]]
 
 
+def labelled_cases() -> list[tuple[HybridParams, str, list[str]]]:
+    """Every shape list whose steps only compare block values, which
+    propagate runs over labelled states: ideal calls, with at most one rf
+    or rb call anywhere among them. At eta 1..4 x calls 1..3 x blocks
+    1..2, with collision, first-bit and constant, wherever the evaluator
+    admits the adversary: all but collision at (4,3,2), whose concrete
+    joints take 9 s."""
+    out = []
+    for eta, nc, bpc in itertools.product((1, 2, 3, 4), (1, 2, 3), (1, 2)):
+        for adv in (collision_detector, first_bit, constant(True)):
+            p = params(eta, nc, bpc, adversary=adv)
+            if not GameEvaluator(p)._factored:
+                continue
+            out.append((p, "g_ideal", ["ideal"] * nc))
+            for c, oracle in itertools.product(range(nc), ("rf", "rb")):
+                shapes = ["ideal"] * nc
+                shapes[c] = oracle
+                out.append((p, f"gi_{oracle}", shapes))
+    return out
+
+
+LABELLED_CASES = labelled_cases()
+
+
+@functools.cache
+def concrete_joints() -> tuple:
+    """The concrete interpreter's joint of each labelled case, computed once."""
+    return tuple(factored._propagate_concrete(*case) for case in LABELLED_CASES)
+
+
+def labelled_mismatches() -> list[tuple]:
+    """The labelled cases whose joint from propagate, as the evaluator
+    calls it, is not the concrete interpreter's."""
+    return [
+        ((p.eta, p.num_calls, p.blocks_per_call), type(p.adversary).__name__, shapes)
+        for (p, game, shapes), want in zip(LABELLED_CASES, concrete_joints())
+        if games.propagate(p, game, shapes) != want
+    ]
+
+
 def drbg_mismatches(states: int = 50) -> list[tuple[int, int, int]]:
     """The (blocks, k, v) at which the step list's 'spec' generate at eta
     256, with the HMAC PRF, differs from drbg.generate on a request of
@@ -752,14 +793,15 @@ class TestLeanSampler:
 
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
     # Selection", IEEE Computer 1978): each one-line change to the shared
-    # step list, to either interpreter's query body or to the runner must
-    # fail the pins named for it. The exact and bad pins read the
-    # propagator, the drbg pin the step list's generate call, and the
-    # others the sampler. The exact pin must kill exactly the mutants
-    # that name it: the draw-order mutants, the sampler's query body and
-    # the runner leave every exact joint as it is, so only a sampler pin
-    # sees them. (what the mutant does, the line, its mutation, the pins
-    # that kill it)
+    # step list, to either interpreter's query body, to the labelled
+    # states or to the runner must fail the pins named for it. The exact
+    # and bad pins read the propagator, the labelled pin its labelled
+    # path against the concrete one, the drbg pin the step list's generate
+    # call, and the others the sampler. The exact pin must kill exactly
+    # the mutants that name it: the draw-order mutants and the runner
+    # leave every exact joint as it is, so only a sampler pin sees them.
+    # (what the mutant does, the line, its mutation, the pins that kill
+    # it)
     MUTANTS = [
         # only coins drawn after the shifted blocks show it: a cache hit
         # repeats an output, so a collision is seen either way, and the
@@ -787,7 +829,8 @@ class TestLeanSampler:
          "return st[ADV], st[K], x, st[BAD], st[ORC]",
          ("calibration", "exact")),
         # rf keeps no answers, so it never sees a repeat: one mutant per
-        # query body, each seen only by its own interpreter's pins
+        # query body. The field body is the concrete propagator's alone;
+        # the dict body is the sampler's and the labelled propagator's
         ("rf forgets its cache in the propagator",
          "orc |= (x + 1 if cache else 1) << shift",
          "orc |= (0 if cache else 1) << shift",
@@ -795,7 +838,7 @@ class TestLeanSampler:
         ("rf forgets its cache in the sampler",
          "trace = {**trace, v: x}",
          "trace = trace if cache else {**trace, v: x}",
-         ("calibration",)),
+         ("calibration", "exact", "labelled")),
         # the runner alone, the step list unchanged: as with the rule
         # above, only coins drawn after the shifted blocks show it
         ("the runner draws on an rf cache hit",
@@ -854,6 +897,24 @@ class TestLeanSampler:
          "draw = step.rule is not NEVER",
          "draw = step.rule is ALWAYS",
          ("exact", "bad")),
+        # the labelled states: a draw's weights then sum past 2^eta
+        ("the fresh weight is off by one",
+         "fresh = [(lowest, end - lowest) for lowest, end in zip(free, bounds[1:]) if lowest < end]",
+         "fresh = [(lowest, end - lowest + 1) for lowest, end in zip(free, bounds[1:]) if lowest < end]",
+         ("labelled", "exact")),
+        # a value drawn before first-bit's state is set counts in class 0,
+        # so the next draw lands on it too often. Only an oracle call
+        # first draws such a value (v), and no calibration game has one
+        ("a colour is ignored",
+         "free[bisect_right(bounds, x) - 1] += 1",
+         "free[0] += 1",
+         ("labelled",)),
+        # only the collision fold holds values, and relabelling it then
+        # finds no label for one it alone holds
+        ("a live value is forgotten in the relabelling",
+         "order += sym.held(adv)",
+         "order += ()",
+         ("labelled", "exact")),
     ]
     PINS = {
         "grid, plain coin": lambda: grid_mismatches(TestEvaluatorModes.PLAIN[1]),
@@ -861,6 +922,7 @@ class TestLeanSampler:
         "exact": lambda: exact_mismatches(TestCalibrationCorpus.EXACT),
         "bad": lambda: TestBadEvent.closed_form_mismatches(collision_detector),
         "drbg at eta 256": drbg_mismatches,
+        "labelled": labelled_mismatches,
     }
 
     @pytest.mark.parametrize(
@@ -879,6 +941,8 @@ class TestLeanSampler:
             try:
                 return self.PINS[pin]() != []
             except TypeError:  # a k or v read before it is drawn
+                return True
+            except KeyError:  # a value the relabelling gave no label
                 return True
 
         assert all(kills(pin) for pin in pins if pin != "exact"), what
@@ -1013,17 +1077,20 @@ class TestLumping:
             assert shapes == games._call_shapes(p, "gi_prg", 0)
             assert factored.propagate(p, "g1_prg", shapes) == factored.propagate(p, "gi_prg", shapes)
 
-    # the peak merged-state count of one game's propagation: 12,888,
-    # 9,136 and 22,968 before dead slots were emptied, then 2,808, 6,672,
-    # 8,296 and 54,256 before the trace was narrowed for its last query
-    PEAKS = [((3, 2, 2), "gi_rf", 1, 512), ((3, 3, 2), "gi_rb", 2, 2304),
-             ((3, 3, 2), "gi_rf", 2, 2304), ((4, 2, 2), "gi_rf", 1, 4096)]
+    # the peak merged-state count of one game's propagation over concrete
+    # states: 12,888, 9,136 and 22,968 before dead slots were emptied,
+    # then 2,808, 6,672, 8,296 and 54,256 before the trace was narrowed
+    # for its last query. Over labelled states, the last entry
+    PEAKS = [((3, 2, 2), "gi_rf", 1, False, 512), ((3, 3, 2), "gi_rb", 2, False, 2304),
+             ((3, 3, 2), "gi_rf", 2, False, 2304), ((4, 2, 2), "gi_rf", 1, False, 4096),
+             ((3, 3, 2), "gi_rf", 2, True, 6)]
 
     # ids leave the bound out, so tightening one keeps the test's name
     @pytest.mark.parametrize(
-        "point,game,j,bound", PEAKS, ids=["{}-{}-{}-{}-{}".format(*pt, g, j) for pt, g, j, _ in PEAKS]
+        "point,game,j,labelled,bound", PEAKS,
+        ids=["{}-{}-{}-{}-{}{}".format(*pt, g, j, "-labelled" * lab) for pt, g, j, lab, _ in PEAKS],
     )
-    def test_peak_states(self, point, game, j, bound, monkeypatch):
+    def test_peak_states(self, point, game, j, labelled, bound, monkeypatch):
         merge, peak = factored.merge, [0]
 
         def counted(pairs):
@@ -1033,7 +1100,8 @@ class TestLumping:
 
         monkeypatch.setattr(factored, "merge", counted)
         p = params(*point)
-        factored.propagate(p, game, games._call_shapes(p, game, j))
+        interpreter = factored.propagate if labelled else factored._propagate_concrete
+        interpreter(p, game, games._call_shapes(p, game, j))
         assert peak[0] <= bound
 
     def test_joints_memoized_by_shape_list(self, monkeypatch):
@@ -1054,6 +1122,68 @@ class TestLumping:
         assert ev._exact("g_ideal", None) is ev._exact("gi_prg", 2) is ev._exact("gi_prf", 2)
         assert ev._exact("g1_prg", None) is ev._exact("gi_prg", 0)
         assert len(shapes) == 10  # 3 of the 13 games reuse a joint
+
+
+class TestLabelledStates:
+    """A list whose steps only compare block values runs over labelled
+    states, one per orbit of the value relabellings that keep the fold's
+    colours, and gives the concrete interpreter's joint."""
+
+    def test_equal_to_the_concrete_interpreter(self, monkeypatch):
+        want = concrete_joints()
+        assert len(want) == 353
+
+        def concrete(*args):
+            raise AssertionError("a labelled list ran over concrete states")
+
+        monkeypatch.setattr(factored, "_propagate_concrete", concrete)
+        assert labelled_mismatches() == []
+
+    def test_lists_that_read_values_stay_concrete(self, monkeypatch):
+        # a generate call reads its key, and a plain callable's fold has no
+        # symmetric form
+        def labelled(*args):
+            raise AssertionError("a list that reads values ran over labelled states")
+
+        monkeypatch.setattr(factored, "_propagate_labelled", labelled)
+        p = params(2, 2, 1)
+        plain = params(2, 2, 1, adversary=TestEvaluatorModes.PLAIN[1])
+        for q, game, shapes in ((p, "gi_prg", ["ideal", "v"]), (p, "gi_rf", ["rf", "v"]),
+                                (p, "gi_prf", ["prf", "ideal"]), (plain, "g_ideal", ["ideal"] * 2)):
+            assert factored.propagate(q, game, shapes) == factored._propagate_concrete(q, game, shapes)
+
+    @pytest.mark.parametrize("adv", [collision_detector, first_bit], ids=["collision", "first-bit"])
+    def test_bad_event_in_closed_form_at_wide_eta(self, adv):
+        # a second derivation of the birthday probability of
+        # TestBadEvent::test_closed_form_on_the_grid, at widths whose
+        # concrete states could never be listed; the evaluator does not
+        # admit these points, so its records stay Monte Carlo
+        for point in ((16, 2, 2), (16, 3, 2), (128, 2, 2), (256, 3, 4)):
+            p = params(*point, adversary=adv)
+            i = p.num_calls - 1
+            for game in ("gi_rf", "gi_rb"):
+                joint = factored.propagate(p, game, games._call_shapes(p, game, i))
+                pr_bad = sum((pr for (_, bad), pr in joint.items() if bad), F(0))
+                assert pr_bad == birthday_exact(p.blocks_per_call + (i > 0), 1 << p.eta), (point, game)
+
+
+class TestStepList:
+    def test_a_prf_call_runs_on_the_oracle_key(self):
+        # a deterministic call before a prf call takes the oracle key as
+        # its instantiate key and leaves its rekey in the k slot
+        p = params(2, 3, 1)
+        for shapes in (["nov", "prf", "ideal"], ["ideal", "spec", "prf"], ["v", "ideal", "prf"]):
+            with pytest.raises(ValueError, match="a prf call must precede"):
+                factored.steps(p, "gi_prf", shapes, factored.field_query)
+        # every named game's list is accepted
+        for nc in (1, 2, 3):
+            p = params(2, nc, 1)
+            jobs = [("g_real", None), ("g1_prg", None), ("g_ideal", None)]
+            jobs += [(game, j) for game in ("gi_prg", "gi_prf") for j in range(nc + 1)]
+            jobs += [(game, j) for game in ("gi_rf", "gi_rb") for j in range(nc)]
+            for game, j in jobs:
+                for query in (factored.field_query, factored.dict_query):
+                    assert factored.steps(p, game, games._call_shapes(p, game, j), query)
 
 
 class TestIvAlgebra:
