@@ -13,11 +13,16 @@ to Monte Carlo estimation when exact evaluation is infeasible. Each
 check is declared once, as a row of ``LEMMA_TABLE``: its name, kind,
 hybrid index range and instance at one index.
 
-Every game has one shape, written once as a play loop: draw the initial
-state, serve each generate call of the run, and hand every output block
-to the adversary. The games differ only in how each call is served.
-
-The game's computation tree is the specification, and
+The games differ only in how each generate call is served, so a game is
+its name and one shape per call (:func:`_call_shapes`): 'ideal', 'spec',
+'nov', 'v', or the oracle call 'prf', 'rf' or 'rb'. Over the paper's
+games: ``G_real`` is 'spec' at every call, ``G1_prg`` 'nov' then 'v',
+and ``Gi_prg`` i 'ideal' calls then ``G1_prg``'s shapes (``g_ideal`` is
+all 'ideal' on no state). PRF_Adversary at i makes call i of that list
+the oracle call, which ``Gi_prf``, ``Gi_rf`` and ``Gi_rb`` serve by the
+PRF on a fresh key, a random function and random bits. One interpreter,
+:func:`faithful`, turns any shape list into the game's computation
+tree, the specification, and
 :func:`~drbglab.prob.exact_dist` enumerates it as the reference. The one
 exact path, the factored evaluator (:mod:`.factored`), writes each game
 once as a list of steps (draw an eta-bit block, run one deterministic
@@ -387,9 +392,10 @@ def instantiate_spec(p: HybridParams) -> Comp:
 
 
 def _play(p: HybridParams, step: Callable[[int, Any, int], Comp], start: Comp) -> Comp:
-    """The one shape of every game: draw the initial state from start,
+    """The play loop of every game: draw the initial state from start,
     serve each generate call of the run with step(call, state, n) -> Comp
-    of (blocks, state'), and hand all output blocks to the adversary."""
+    of (blocks, state'), and hand all output blocks to the adversary.
+    :func:`faithful` gives the step of a shape list."""
     n = p.blocks_per_call
 
     def go(call: int, state: Any, outs: tuple) -> Comp:
@@ -398,46 +404,6 @@ def _play(p: HybridParams, step: Callable[[int, Any, int], Comp], start: Comp) -
         return bind(step(call, state, n), lambda out: go(call + 1, out[1], outs + (out[0],)))
 
     return bind(start, lambda state: go(0, state, ()))
-
-
-# ------------------------------------------------------------------ the games
-
-
-def g_real(p: HybridParams) -> Comp:
-    """Real experiment: PRF-driven generator, adversary sees all output."""
-    return _play(p, lambda call, kv, n: generate_spec(p, kv, n), instantiate_spec(p))
-
-
-def g_ideal(p: HybridParams) -> Comp:
-    """Ideal experiment: every call returns fresh uniform blocks."""
-    return _play(
-        p, lambda call, _, n: mapc(generate_rb(p, n), lambda bs: (bs, None)), Return(None)
-    )
-
-
-def g1_prg(p: HybridParams) -> Comp:
-    """The real game with every v update moved to the front of the next
-    call: first call skips the initial update, later calls perform it,
-    nobody updates v at the end."""
-
-    def step(call: int, kv: KV, n: int) -> Comp:
-        return generate_noV(p, kv, n) if call == 0 else generate_v(p, kv, n)
-
-    return _play(p, step, instantiate_spec(p))
-
-
-def gi_prg(p: HybridParams, i: int) -> Comp:
-    """Hybrid game i: first i calls ideal, the rest PRF-driven (the first
-    PRF call skips the initial v update)."""
-    if not 0 <= i <= p.num_calls:
-        raise ValueError(f"i must be in 0..{p.num_calls}, got {i}")
-
-    def step(call: int, kv: KV, n: int) -> Comp:
-        if call < i:
-            return generate_rb_intermediate(p, kv, n)
-        return generate_noV(p, kv, n) if call == 0 else generate_v(p, kv, n)
-
-    return _play(p, step, instantiate_spec(p))
 
 
 # ------------------------------------------------------------------- oracles
@@ -487,7 +453,7 @@ def _trace_has_duplicate_input(trace: tuple) -> bool:
     return len(set(inputs)) < len(inputs)
 
 
-# ------------------------------------------------- the PRF-reduction adversary
+# ------------------------------------------------------------- the oracle call
 
 
 def _generate_oc(p: HybridParams, state: KV, n: int, nov: bool) -> Comp:
@@ -509,66 +475,12 @@ def _generate_oc(p: HybridParams, state: KV, n: int, nov: bool) -> Comp:
     return bind(query(state.v), lambda v1: chain(v1, n, ()))
 
 
-def prf_adversary(p: HybridParams, i: int) -> Comp:
-    """The reduction adversary: runs the full pipeline with calls before
-    i ideal, call i routed through the provided oracle, calls after i on
-    the concrete PRF, then hands all output to the distinguisher."""
-    if not 0 <= i <= p.num_calls:
-        raise ValueError(f"i must be in 0..{p.num_calls}, got {i}")
-
-    def step(call: int, kv: KV, n: int) -> Comp:
-        if call < i:
-            return generate_rb_intermediate(p, kv, n)
-        if call == i:
-            return _generate_oc(p, kv, n, nov=(i == 0))
-        return generate_v(p, kv, n)
-
-    return _play(p, step, instantiate_spec(p))
-
-
-def gi_prf(p: HybridParams, i: int) -> Comp:
-    """Hybrid i with call i's PRF applications served by an external
-    fresh-key PRF oracle."""
-    return bind(
-        _sample_block(p),
-        lambda kstar: mapc(
-            run_with_oracle(prf_adversary(p, i), f_oracle(p, kstar)),
-            lambda rs: rs[0],
-        ),
-    )
-
-
-def gi_rf(p: HybridParams, i: int) -> Comp:
-    """Hybrid i with call i served by a lazily sampled random function."""
-    return mapc(run_with_oracle(prf_adversary(p, i), random_func(p)), lambda rs: rs[0])
-
-
-def gi_rb(p: HybridParams, i: int) -> Comp:
-    """Hybrid i with call i served by the random-bits oracle."""
-    return mapc(run_with_oracle(prf_adversary(p, i), rb_oracle(p)), lambda rs: rs[0])
-
-
-def gi_rf_dups_bad(p: HybridParams, i: int) -> Comp:
-    """(answer, bad) for the random-function game; bad = duplicate input."""
-    return mapc(
-        run_with_oracle(prf_adversary(p, i), random_func(p)),
-        lambda rs: (rs[0], _trace_has_duplicate_input(rs[1])),
-    )
-
-
-def gi_rb_bad(p: HybridParams, i: int) -> Comp:
-    """(answer, bad) for the random-bits game; bad = duplicate input."""
-    return mapc(
-        run_with_oracle(prf_adversary(p, i), rb_oracle(p)),
-        lambda rs: (rs[0], _trace_has_duplicate_input(rs[1])),
-    )
-
-
-# ------------------------------------------------------ the factored evaluator
+# ---------------------------------------------------------------- call shapes
 #
-# A game reaches :mod:`.factored` as its name and the shapes of its
-# generate calls, which give its one step list: the factored evaluator
-# propagates it, and Monte Carlo samples the lean computation that runs it.
+# A game is its name and the shapes of its generate calls. Two
+# interpreters read the shapes: faithful builds the game's computation
+# tree, the specification, and factored.steps its step list, which the
+# factored evaluator propagates and Monte Carlo samples.
 
 
 def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
@@ -595,24 +507,57 @@ def _call_shapes(p: HybridParams, game: str, i: int | None) -> list[str]:
     return shapes
 
 
+def faithful(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Comp:
+    """The faithful computation tree of the game whose generate calls
+    have these shapes: the adversary's result, or ``(result, bad)``
+    with_bad. A call runs the primitive its shape names: 'ideal'
+    generate_rb_intermediate (generate_rb on no state); 'spec', 'nov'
+    and 'v' generate_spec, generate_noV and generate_v; an oracle call
+    _generate_oc, with no leading v update at call 0. The name picks the
+    rest: g_ideal draws no instantiate, and gi_prf (its oracle's key
+    first, even when no call queries it), gi_rf and gi_rb serve queries
+    by f_oracle, random_func and rb_oracle. bad is a repeated input in an
+    rf or rb trace. Each primitive is looked up when its call runs."""
+
+    def step(call: int, kv: KV | None, n: int) -> Comp:
+        shape = shapes[call]
+        if shape == "ideal":
+            if kv is None:
+                return mapc(generate_rb(p, n), lambda bs: (bs, None))
+            return generate_rb_intermediate(p, kv, n)
+        if shape in ("prf", "rf", "rb"):
+            return _generate_oc(p, kv, n, nov=(call == 0))
+        return {"spec": generate_spec, "nov": generate_noV, "v": generate_v}[shape](p, kv, n)
+
+    tree = _play(p, step, Return(None) if game == "g_ideal" else instantiate_spec(p))
+
+    def result(rs: tuple) -> Any:  # (answer, oracle trace)
+        if not with_bad:
+            return rs[0]
+        return rs[0], game != "gi_prf" and _trace_has_duplicate_input(rs[1])
+
+    if game == "gi_prf":
+        return bind(
+            _sample_block(p), lambda kstar: mapc(run_with_oracle(tree, f_oracle(p, kstar)), result)
+        )
+    if game in ("gi_rf", "gi_rb"):
+        oracle = random_func(p) if game == "gi_rf" else rb_oracle(p)
+        return mapc(run_with_oracle(tree, oracle), result)
+    return mapc(tree, lambda answer: (answer, False)) if with_bad else tree
+
+
+def build_game(p: HybridParams, game: str, i: int | None = None, with_bad: bool = False) -> Comp:
+    """The faithful computation tree for a named game, at the (game, i)
+    pairs the evaluator takes: no index on g_real, g1_prg and g_ideal,
+    one in range on the hybrids."""
+    return faithful(p, game, _call_shapes(p, game, i), with_bad)
+
+
 def _lean(p: HybridParams, game: str, i: int | None, with_bad: bool = False) -> Comp:
     """The lean computation Monte Carlo samples: the game's result, or
     ``(result, bad)`` with_bad. It is a ``prob.Flat``, so it can only be
     sampled."""
     return sampler(p, game, _call_shapes(p, game, i), with_bad)
-
-
-# ------------------------------------------------------------- game registry
-
-
-def build_game(p: HybridParams, game: str, i: int | None = None) -> Comp:
-    """The faithful computation tree for a named game, at the (game, i)
-    pairs the evaluator takes: no index on g_real, g1_prg and g_ideal,
-    one in range on the hybrids."""
-    _call_shapes(p, game, i)
-    build = {"g_real": g_real, "g1_prg": g1_prg, "g_ideal": g_ideal,
-             "gi_prg": gi_prg, "gi_prf": gi_prf, "gi_rf": gi_rf, "gi_rb": gi_rb}[game]
-    return build(p) if i is None else build(p, i)
 
 
 # ------------------------------------------------------------ value intervals

@@ -40,8 +40,6 @@ from drbglab.games import (
     generate_rb_intermediate,
     generate_spec,
     generate_v,
-    gi_rb_bad,
-    gi_rf_dups_bad,
     iv_absdiff,
     iv_add,
     iv_equal,
@@ -252,8 +250,8 @@ class TestFastAgainstEnumeration:
         p = HybridParams(eta, nc, bpc, adversary=transcript)
         evaluators = [GameEvaluator(params(eta, nc, bpc, adversary=adv)) for adv in advs]
         for j in range(nc):
-            for oracle, builder in (("rb", gi_rb_bad), ("rf", gi_rf_dups_bad)):
-                runs = exact_dist(builder(p, j), max_path_bits=20)
+            for oracle in ("rb", "rf"):
+                runs = exact_dist(build_game(p, f"gi_{oracle}", j, with_bad=True), max_path_bits=20)
                 for adv, ev in zip(advs, evaluators):
                     want: dict = {}
                     for (outs, bad), pr in runs.items():
@@ -460,8 +458,9 @@ class TestEvaluatorModes:
             for game, j in jobs:
                 assert ev.pr(game, j).mid == exact_dist(build_game(p, game, j)).pr_true, (game, j)
             for j in range(nc):
-                for game, tree in (("gi_rb", gi_rb_bad), ("gi_rf", gi_rf_dups_bad)):
-                    assert ev._exact(game, j) == dict(exact_dist(tree(p, j)).items()), (game, j)
+                for game in ("gi_rb", "gi_rf"):
+                    tree = build_game(p, game, j, with_bad=True)
+                    assert ev._exact(game, j) == dict(exact_dist(tree).items()), (game, j)
             assert ev.mode == "exact"
 
     @pytest.mark.parametrize("point,mode", [((2, 2, 2), "exact"), ((16, 1, 1), "monte-carlo")])
@@ -545,7 +544,7 @@ class TestEvaluatorModes:
         cells = ev._estimates("gi_rb", 1)
         true_bad, false_bad = cells[(True, True)], cells[(False, True)]
         hits = true_bad.hits + false_bad.hits
-        bad = estimate_pr_true(mapc(gi_rb_bad(p, 1), lambda out: out[1]), 500, 3)
+        bad = estimate_pr_true(mapc(build_game(p, "gi_rb", 1, with_bad=True), lambda out: out[1]), 500, 3)
         assert hits == bad.hits
         low, high = clopper_pearson(hits, 500)
         assert (got.lo, got.mid, got.hi) == (low, hits / 500, high)
@@ -575,7 +574,7 @@ class TestEvaluatorModes:
             with pytest.raises(ValueError):
                 ev.pr("gi_rf")  # no hybrid index
             with pytest.raises(ValueError):
-                games.gi_prg(p, 7)
+                build_game(p, "gi_prg", 7)
 
     # gi_rf and gi_rb need a call i to serve; the whole-run games take no
     # index. The faithful and lean builders, and the evaluator in both
@@ -592,12 +591,6 @@ class TestEvaluatorModes:
                 games._lean(p, game, i)
             with pytest.raises(ValueError):
                 GameEvaluator(p).pr(game, i)
-
-
-def faithful(p: HybridParams, game: str, i=None, with_bad=False):
-    if with_bad:
-        return {"gi_rf": gi_rf_dups_bad, "gi_rb": gi_rb_bad}[game](p, i)
-    return build_game(p, game, i)
 
 
 def grid_jobs(adversary):
@@ -621,7 +614,7 @@ def grid_mismatches(adversary, trials: int = 20) -> list[tuple]:
     out = []
     for p, job in grid_jobs(adversary):
         got = [sample(games._lean(p, *job), seed) for seed in range(trials)]
-        want = [sample(faithful(p, *job), seed) for seed in range(trials)]
+        want = [sample(build_game(p, *job), seed) for seed in range(trials)]
         if got != want:
             out.append(((p.eta, p.num_calls, p.blocks_per_call),) + job)
     return out
@@ -634,7 +627,7 @@ def calibration_mismatches(trials: int = 100) -> list[int]:
     for j, (game, eta, nc, bpc, adversary, _, i) in enumerate(CALIBRATION_SPECS):
         p = params(eta, nc, bpc, adversary=adversary)
         hits = [estimate_pr_true(comp(p, game, i), trials, 0xCA11 + j).hits
-                for comp in (games._lean, faithful)]
+                for comp in (games._lean, build_game)]
         if hits[0] != hits[1]:
             out.append(j)
     return out
@@ -684,6 +677,48 @@ def labelled_mismatches() -> list[tuple]:
         ((p.eta, p.num_calls, p.blocks_per_call), type(p.adversary).__name__, shapes)
         for (p, game, shapes), want in zip(LABELLED_CASES, concrete_joints())
         if games.propagate(p, game, shapes) != want
+    ]
+
+
+SHAPES = ("ideal", "spec", "nov", "v", "prf", "rf", "rb")
+
+
+def language_cases() -> list[tuple[HybridParams, str, list[str]]]:
+    """The shape language: every list of the seven shapes with at most one
+    oracle call that factored.steps accepts, under the game its oracle
+    call names (gi_prg when it has none), and each all-ideal list under
+    g_ideal too. At eta 1 x calls 1..3 x blocks 1..2, and at eta 2 x
+    calls 1..2 x blocks 1, with collision and first-bit."""
+    points = [(1, nc, bpc) for nc in (1, 2, 3) for bpc in (1, 2)] + [(2, 1, 1), (2, 2, 1)]
+    out = []
+    for point, adv in itertools.product(points, (collision_detector, first_bit)):
+        p = params(*point, adversary=adv)
+        for shapes in map(list, itertools.product(SHAPES, repeat=p.num_calls)):
+            oracles = [s for s in shapes if s in ("prf", "rf", "rb")]
+            if len(oracles) > 1:
+                continue
+            game = f"gi_{oracles[0]}" if oracles else "gi_prg"
+            try:
+                factored.steps(p, game, shapes, factored.field_query)
+            except ValueError:  # a prf call after a deterministic one
+                continue
+            out.append((p, game, shapes))
+            if set(shapes) == {"ideal"}:
+                out.append((p, "g_ideal", shapes))
+    return out
+
+
+LANGUAGE_CASES = language_cases()
+
+
+def language_mismatches() -> list[tuple]:
+    """The language cases whose (answer, bad) joint from the propagator
+    is not the enumeration of the faithful tree."""
+    return [
+        ((p.eta, p.num_calls, p.blocks_per_call), type(p.adversary).__name__, game, shapes)
+        for p, game, shapes in LANGUAGE_CASES
+        if games.propagate(p, game, shapes)
+        != dict(exact_dist(games.faithful(p, game, shapes, with_bad=True)).items())
     ]
 
 
@@ -737,7 +772,7 @@ class TestLeanSampler:
         # run_with_oracle to expand, so it is refused
         p = params(2, 2, 1, adversary=TestEvaluatorModes.PLAIN[1])
         node = games._lean(p, "gi_rf", 1, with_bad=True)
-        tree = gi_rf_dups_bad(p, 1)
+        tree = build_game(p, "gi_rf", 1, with_bad=True)
         assert isinstance(node, Flat)
         cell = lambda comp: mapc(comp, lambda x: x == (True, False))
         coin_after = lambda comp: bind(comp, lambda x: mapc(sample_bits(2), lambda c: (x, c)))
@@ -923,13 +958,17 @@ class TestLeanSampler:
         "bad": lambda: TestBadEvent.closed_form_mismatches(collision_detector),
         "drbg at eta 256": drbg_mismatches,
         "labelled": labelled_mismatches,
+        "language": language_mismatches,
     }
+    # read when this module is imported: an edit to the tree during a run
+    # then cannot move a mutated line away from the loaded code
+    SOURCE = inspect.getsource(factored)
 
     @pytest.mark.parametrize(
         "what,line,mutation,pins", MUTANTS, ids=[m[0].replace(" ", "-") for m in MUTANTS]
     )
     def test_mutant_fails_its_pin(self, what, line, mutation, pins, monkeypatch):
-        source = inspect.getsource(factored)
+        source = self.SOURCE
         assert source.count(line) == 1, "the mutated line must be in factored once"
         namespace = {"__name__": "drbglab._mutant", "__package__": "drbglab"}
         exec(compile(source.replace(line, mutation), factored.__file__, "exec"), namespace)
@@ -949,10 +988,13 @@ class TestLeanSampler:
         assert kills("exact") == ("exact" in pins), what
 
     # The faithful trees are the specification every fast path is pinned
-    # to, so a one-line change to one of games.py's builders must fail the
-    # lean-vs-faithful pins. The exact pin reads the propagator alone, so
-    # it must kill none of them. (what the mutant does, the builder, the
-    # line, its mutation, the pins that kill it)
+    # to, so a one-line change to games.py's interpreter of the call
+    # shapes, or to a primitive it runs, must fail the lean-vs-faithful
+    # pins. The exact pin reads the propagator alone, so it must kill
+    # none of them. The language pin compares exact joints, so it must
+    # kill exactly the interpreter's own mutants that name it: a
+    # draw-order mutant moves no joint. (what the mutant does, the
+    # function, the line, its mutation, the pins that kill it)
     FAITHFUL_MUTANTS = [
         ("generate_spec drops its final v update", "generate_spec",
          "v2 = p.prf(k2, v_last)",
@@ -976,7 +1018,18 @@ class TestLeanSampler:
          "trace + ((inp, b),)",
          "trace",
          ("grid, plain coin",)),
+        ("an oracle call skips its leading v update at every index", "faithful",
+         "nov=(call == 0)",
+         "nov=True",
+         ("grid, plain coin", "calibration", "language")),
+        # two instantiate draws that nothing reads shift every later block
+        ("g_ideal draws an instantiate", "faithful",
+         'Return(None) if game == "g_ideal" else instantiate_spec(p)',
+         "instantiate_spec(p)",
+         ("grid, plain coin", "calibration")),
     ]
+    FAITHFUL_SOURCES = {name: inspect.getsource(getattr(games, name))
+                        for _, name, *_ in FAITHFUL_MUTANTS}
 
     @pytest.mark.parametrize(
         "what,builder,line,mutation,pins", FAITHFUL_MUTANTS,
@@ -984,13 +1037,13 @@ class TestLeanSampler:
     )
     def test_faithful_mutant_fails_its_pin(self, what, builder, line, mutation, pins,
                                            monkeypatch):
-        source = inspect.getsource(getattr(games, builder))
+        source = self.FAITHFUL_SOURCES[builder]
         assert source.count(line) == 1, f"the mutated line must be in {builder} once"
         namespace = dict(vars(games))
         exec(compile(source.replace(line, mutation), games.__file__, "exec"), namespace)
         monkeypatch.setattr(games, builder, namespace[builder])
-        assert all(self.PINS[pin]() != [] for pin in pins), what
-        assert self.PINS["exact"]() == [], what
+        checked = set(pins) | {"exact"} | ({"language"} if builder == "faithful" else set())
+        assert {pin for pin in checked if self.PINS[pin]() != []} == set(pins), what
 
 
 class TestLumping:
@@ -1165,6 +1218,66 @@ class TestLabelledStates:
                 joint = factored.propagate(p, game, games._call_shapes(p, game, i))
                 pr_bad = sum((pr for (_, bad), pr in joint.items() if bad), F(0))
                 assert pr_bad == birthday_exact(p.blocks_per_call + (i > 0), 1 << p.eta), (point, game)
+
+
+class TestCallShapes:
+    # every (game, i) at num_calls 3, written out from the ten builders the
+    # one faithful interpreter replaced: g_real ran generate_spec at every
+    # call; g1_prg and gi_prg(i) ran i ideal calls, then generate_noV at
+    # call 0 and generate_v after it; prf_adversary(i), under the oracle
+    # of gi_prf, gi_rf or gi_rb, ran gi_prg(i)'s calls with call i
+    # routed through the oracle; g_ideal ran ideal calls on no state.
+    # _call_shapes feeds both the faithful trees and the step lists, so
+    # only a table stated apart from it sees a wrong mapping
+    NAMED = {
+        ("g_real", None): ["spec", "spec", "spec"],
+        ("g1_prg", None): ["nov", "v", "v"],
+        ("g_ideal", None): ["ideal", "ideal", "ideal"],
+        ("gi_prg", 0): ["nov", "v", "v"],
+        ("gi_prg", 1): ["ideal", "v", "v"],
+        ("gi_prg", 2): ["ideal", "ideal", "v"],
+        ("gi_prg", 3): ["ideal", "ideal", "ideal"],
+        ("gi_prf", 0): ["prf", "v", "v"],
+        ("gi_prf", 1): ["ideal", "prf", "v"],
+        ("gi_prf", 2): ["ideal", "ideal", "prf"],
+        ("gi_prf", 3): ["ideal", "ideal", "ideal"],
+        ("gi_rf", 0): ["rf", "v", "v"],
+        ("gi_rf", 1): ["ideal", "rf", "v"],
+        ("gi_rf", 2): ["ideal", "ideal", "rf"],
+        ("gi_rb", 0): ["rb", "v", "v"],
+        ("gi_rb", 1): ["ideal", "rb", "v"],
+        ("gi_rb", 2): ["ideal", "ideal", "rb"],
+    }
+    # the pairs of the seven games that name no game, at i in -1..4 or
+    # None: an index on a whole-run game, or a missing or out-of-range
+    # hybrid index (rf and rb need a call i to serve)
+    REFUSED = {
+        "g_real": (-1, 0, 1, 2, 3, 4),
+        "g1_prg": (-1, 0, 1, 2, 3, 4),
+        "g_ideal": (-1, 0, 1, 2, 3, 4),
+        "gi_prg": (None, -1, 4),
+        "gi_prf": (None, -1, 4),
+        "gi_rf": (None, -1, 3, 4),
+        "gi_rb": (None, -1, 3, 4),
+    }
+
+    def test_named_games_at_three_calls(self):
+        p = params(2, 3, 1)
+        assert {job: games._call_shapes(p, *job) for job in self.NAMED} == self.NAMED
+        refused = [(game, i) for game, indices in self.REFUSED.items() for i in indices]
+        for game, i in refused + [("g_prf", None), ("gi_prg ", 0)]:
+            with pytest.raises(ValueError):
+                games._call_shapes(p, game, i)
+        # the two tables hold every pair exactly once
+        pairs = {(game, i) for game in self.REFUSED for i in (None, -1, 0, 1, 2, 3, 4)}
+        assert set(self.NAMED) | set(refused) == pairs
+        assert len(self.NAMED) + len(refused) == len(pairs)
+
+    def test_propagator_matches_faithful_on_the_shape_language(self):
+        # the whole language, not only the named games' lists: the
+        # soundness gate for a rewrite of the step list or the propagator
+        assert len(LANGUAGE_CASES) == 1004
+        assert language_mismatches() == []
 
 
 class TestStepList:
