@@ -8,14 +8,14 @@ instantiate draws, then per call its steps (draw an eta-bit block, run
 one deterministic generate call, answer one oracle query). Each step
 declares the slots it reads and overwrites, and its draw rule, the only
 declaration of its draw: always, never, or only on a new oracle input.
-The two interpreters keep different oracle states, so each passes in
-its own chain-query body; everything else is shared.
+The oracle slot holds the faithful rf and rb oracles' trace over ints: a
+tuple of ``(input, answer)`` pairs, one per distinct input, in query
+order. Every interpreter runs the same steps, chain query
+(:func:`query`) and trace narrowing (:func:`narrow`).
 
 The factored evaluator (:func:`propagate`) runs the list forward over
-merged integer states (adversary fold, k, v, bad, oracle state). Its
-oracle state is one int with an (eta+1)-bit field per input: 0 for an
-input not yet queried, else answer+1 under rf and 1 under rb; equal
-traces are equal ints, so their states merge. :func:`plan` moves each
+merged integer states (adversary fold, k, v, bad, oracle trace); equal
+traces are equal tuples, so their states merge. :func:`plan` moves each
 draw that only fills a slot to just before the first step that reads
 the slot, and drops it when nothing does, so a sample nothing reads (the
 instantiate key of an ideal prefix or of an oracle game, the instantiate
@@ -24,10 +24,10 @@ then finds the slots no later step reads before overwriting them. Each
 step's transition empties those dead slots before its states merge.
 Each step whose rule is not never draws a block, and every such block
 lands in a live slot (see :func:`plan`). The trace is live only at the
-field its last reader reads, the one at that query's input v, so the
-step before that query empties every other field. Exact joints depend
+entry its last reader reads, the one at that query's input v, so the
+step before that query empties every other entry. Exact joints depend
 only on what later steps read, so lumping states that differ only in
-dead slots or fields changes no mass (lumping, or bisimulation
+dead slots or entries changes no mass (lumping, or bisimulation
 reduction: Katoen, Kemna, Zapreev & Jansen, TACAS 2007). A draw adds
 eta bits to the common ``2^bits`` denominator, and a state that ignores
 the drawn block (a random-function cache hit) collects all ``2^eta``
@@ -40,26 +40,25 @@ the adversary's fold has a symmetric form (``adversary.symmetric``),
 permutation of the block values that keeps the fold's colour classes
 then maps a run to an equally likely run with the same answer and bad
 flag, so after each step the live values are renumbered to the lowest
-values of their class, in a fixed traversal order (v, the dict trace in
-insertion order, the values only the fold holds), and states of one
+values of their class, in a fixed traversal order (v, the trace in
+query order, the values only the fold holds), and states of one
 orbit merge. A draw lands on each live value with weight 1 and on one
 fresh representative per class with the rest of that class's weight.
 This is symmetry reduction with scalarsets (Ip & Dill, "Better
 Verification Through Symmetry", Formal Methods in System Design 1996;
 Kwiatkowska, Norman & Parker, "Symmetry Reduction for Probabilistic
 Model Checking", CAV 2006). The steps, ``plan`` and ``CLEAR`` run
-unchanged on the representatives, with the sampler's dict trace. The
-concrete interpreter stays as the reference tests pin it to.
+unchanged on the representatives. The concrete interpreter stays as the
+reference tests pin it to.
 
 The sampler (:func:`sampler`) runs the same list as it stands, drawing
 by each step's rule, because a seeded trial must give the faithful
-tree's outcome. Its oracle trace is a small per-trial dict, since setting
-a field of a (eta+1)·2^eta-bit int costs too much at eta 16. It returns
-one ``prob.Flat`` node whose runner, one loop over the steps on a
-trial's SplitMix64 stream, ``prob.sample`` calls. So ``prob.sample`` and
-``estimate_pr_true`` run it unchanged, and a trial builds no node before
-the adversary answers. The node can only be sampled: exact values come
-from the propagator, which tests pin to the faithful trees.
+tree's outcome. It returns one ``prob.Flat`` node whose runner, one loop
+over the steps on a trial's SplitMix64 stream, ``prob.sample`` calls. So
+``prob.sample`` and ``estimate_pr_true`` run it unchanged, and a trial
+builds no node before the adversary answers. The node can only be
+sampled: exact values come from the propagator, which tests pin to the
+faithful trees.
 
 Both interpreters fold the adversary the same way: each visible output
 goes through ``adversary.absorb``, and a final fold state's Comp of bool
@@ -89,12 +88,10 @@ ALWAYS, NEVER, NEW_INPUT = "always", "never", "new input"  # a step's draw rule
 CLEAR: dict[frozenset[int], Callable[[tuple], tuple]] = {
     frozenset({K}): lambda st: (st[0], None, st[2], st[3], st[4]),
     frozenset({V}): lambda st: (st[0], st[1], None, st[3], st[4]),
-    frozenset({ORC}): lambda st: (st[0], st[1], st[2], st[3], 0),
+    frozenset({ORC}): lambda st: (st[0], st[1], st[2], st[3], ()),
     frozenset({K, V}): lambda st: (st[0], None, None, st[3], st[4]),
-    frozenset({V, ORC}): lambda st: (st[0], st[1], None, st[3], 0),
+    frozenset({V, ORC}): lambda st: (st[0], st[1], None, st[3], ()),
 }
-
-Query = Callable[["HybridParams", bool, bool], Callable[[tuple, Any], tuple]]
 
 
 class Step(NamedTuple):
@@ -143,13 +140,42 @@ DRAW_V = Step((), (V,), ALWAYS, _set_v)
 UNREAD = Step((), (), ALWAYS, _drop)  # gi_prf's instantiate k
 
 
-def steps(p: HybridParams, game: str, shapes: list[str], query: Query) -> list[Step]:
+def query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, int | None], tuple]:
+    """The chain query in rf (cache) or rb mode: its input is v, its
+    answer becomes v. A repeated input sets bad, and rf answers it from
+    its trace entry and ignores the block; a new input appends its
+    entry."""
+    eta, absorb = p.eta, p.adversary.absorb
+
+    def fn(st: tuple, x: int | None) -> tuple:
+        adv, k, v, bad, trace = st
+        for entry in trace:
+            if entry[0] == v:
+                bad = True
+                if cache:
+                    x = entry[1]
+                break
+        else:
+            trace += ((v, x),)
+        return (absorb(adv, x, eta) if visible else adv), k, x, bad, trace
+
+    return fn
+
+
+def narrow(st: tuple) -> tuple:
+    """Empties every entry of the trace but the one at v, the only one a
+    query reads."""
+    adv, k, v, bad, trace = st
+    for entry in trace:
+        if entry[0] == v:
+            return adv, k, v, bad, (entry,)
+    return adv, k, v, bad, ()
+
+
+def steps(p: HybridParams, game: str, shapes: list[str]) -> list[Step]:
     """The step list of a game, in the faithful tree's draw order. A
     call's shape is 'ideal', 'spec', 'nov' or 'v', or the oracle mode
-    'prf', 'rf' or 'rb' that serves call i of an oracle-swapped game.
-    ``query(p, cache, visible)`` is the interpreter's chain query in rf
-    (cache) or rb mode: its input is v, its answer becomes v, a repeated
-    input sets bad, and rf answers a repeat from its cache."""
+    'prf', 'rf' or 'rb' that serves call i of an oracle-swapped game."""
     eta, n, absorb = p.eta, p.blocks_per_call, p.adversary.absorb
 
     def ideal_block(st: tuple, x: int) -> tuple:
@@ -195,17 +221,17 @@ class Plan(NamedTuple):
     clear: Callable[[tuple], tuple] | None  # empties the slots that die here, or narrows the trace
 
 
-def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
+def plan(step_list: list[Step]) -> list[Plan]:
     """Each draw-only step (it reads nothing and its rule draws, so its
     block only fills the slots it writes) moves to just before the first
     step that reads its slot, and goes when a step overwrites the slot
     first or none reads it. Then liveness over the list: a slot is dead
     after a step when no later step reads it before one overwrites it;
     the adversary fold and bad are read at the end, so they never die.
-    The oracle trace is live only at the field its last reader reads:
-    the step before that query empties every other field (``narrow``,
-    the trace format's own) when the trace may hold any and no slot dies
-    there, which holds for every list :func:`steps` writes.
+    The oracle trace is live only at the entry its last reader reads:
+    the step before that query empties every other entry (:func:`narrow`)
+    when the trace may hold any and no slot dies there, which holds for
+    every list :func:`steps` writes.
 
     So a step draws by its rule alone, since every kept draw lands in a
     live slot: a draw-only step's slot is read next, an ideal block and
@@ -245,43 +271,6 @@ def plan(step_list: list[Step], narrow: Callable[[tuple], tuple]) -> list[Plan]:
     return plans
 
 
-def field_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, int], tuple]:
-    """The propagator's chain query on an int of (eta+1)-bit fields, by
-    the sampler's rule: a repeated input sets bad, and rf answers it from
-    its field; a new input records its field, answer+1 under rf and 1
-    under rb. Every query takes a block, which an rf cache hit ignores."""
-    eta, absorb = p.eta, p.adversary.absorb
-    width = eta + 1  # one oracle-state field per input
-    field = (1 << width) - 1
-
-    def fn(st: tuple, x: int) -> tuple:
-        adv, k, v, bad, orc = st
-        shift = v * width
-        seen = orc >> shift & field
-        if seen:
-            bad = True
-            if cache:
-                x = seen - 1
-        else:
-            orc |= (x + 1 if cache else 1) << shift
-        return (absorb(adv, x, eta) if visible else adv), k, x, bad, orc
-
-    return fn
-
-
-def field_narrow(p: HybridParams) -> Callable[[tuple], tuple]:
-    """Empties every field of the trace but the one at v, the only one a
-    query reads."""
-    width = p.eta + 1
-    field = (1 << width) - 1
-
-    def fn(st: tuple) -> tuple:
-        adv, k, v, bad, orc = st
-        return adv, k, v, bad, orc & field << v * width
-
-    return fn
-
-
 def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     out: dict[Any, int] = {}
     for point, mass in pairs:
@@ -295,24 +284,24 @@ def propagate(p: HybridParams, game: str, shapes: list[str]) -> dict[tuple[bool,
     every step of its list only compares block values and the fold has a
     symmetric form, else over concrete ones."""
     sym = p.adversary.symmetric(p.eta)
-    step_list = steps(p, game, shapes, dict_query)
+    step_list = steps(p, game, shapes)
     # the PRF is the one operation that reads a value beyond equality,
     # and every step that runs it (a generate call) reads its key from K
     if sym is None or any(K in step.reads for step in step_list):
-        return _propagate_concrete(p, game, shapes)
-    return _joint(p, *_propagate_labelled(p, sym, step_list))
+        return _propagate_concrete(p, step_list)
+    return _propagate_labelled(p, sym, step_list)
 
 
 def _propagate_concrete(
-    p: HybridParams, game: str, shapes: list[str]
+    p: HybridParams, step_list: list[Step]
 ) -> dict[tuple[bool, bool], Fraction]:
     """:func:`propagate` over every concrete block value: the reference
     the labelled path is pinned to."""
     space = range(1 << p.eta)
-    dist = {(p.adversary.initial(), None, None, False, 0): 1}
+    dist = {(p.adversary.initial(), None, None, False, ()): 1}
     bits = 0
 
-    for fn, draw, clear in plan(steps(p, game, shapes, field_query), field_narrow(p)):
+    for fn, draw, clear in plan(step_list):
         # a step whose rule is NEVER takes no block; an rf cache hit draws one and ignores it
         xs = space if draw else (0,)
         bits += p.eta if draw else 0
@@ -347,8 +336,7 @@ def _joint(p: HybridParams, dist: dict[tuple, int], bits: int) -> dict[tuple[boo
 # A labelled state holds one representative per orbit: after each step
 # its live values are renumbered to the lowest values of their colour
 # classes (see the module docstring), so a draw's fresh value in a class
-# is the lowest one no slot holds. The trace is the sampler's dict,
-# since the field int would need (eta+1)·2^eta bits at wide eta.
+# is the lowest one no slot holds.
 
 
 class Symmetry(NamedTuple):
@@ -363,32 +351,14 @@ class Symmetry(NamedTuple):
     relabel: Callable[[Any, dict[int, int]], Any] = lambda state, label: state  # renamed by label
 
 
-class _Trace(dict):
-    """A labelled state's dict trace, hashed by its contents as dicts
-    compare, so that the state can key a merge."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:  # type: ignore[override]
-        return hash(frozenset(self.items()))
-
-
-def dict_narrow(st: tuple) -> tuple:
-    """Empties every entry of a dict trace but the one at v, the only one
-    a query reads."""
-    adv, k, v, bad, trace = st
-    return adv, k, v, bad, {v: trace[v]} if v in trace else {}
-
-
 def _live(sym: Symmetry, st: tuple) -> dict[int, None]:
     """The values a labelled state holds, once each, in traversal order:
-    v, the trace in insertion order, then those only the fold holds. K
+    v, the trace in query order, then those only the fold holds. K
     holds none, since no step of a labelled list touches it."""
     adv, _, v, _, trace = st
     order = [] if v is None else [v]
-    if isinstance(trace, dict):  # else 0, once the trace is dead
-        for entry in trace.items():
-            order += entry
+    for entry in trace:
+        order += entry
     order += sym.held(adv)
     return dict.fromkeys(order)
 
@@ -404,8 +374,7 @@ def _canonical(sym: Symmetry, st: tuple) -> tuple:
         c = bisect_right(bounds, x) - 1
         label[x] = free[c]
         free[c] += 1
-    if isinstance(trace, dict):
-        trace = _Trace((label[a], label[b]) for a, b in trace.items())
+    trace = tuple((label[a], label[b]) for a, b in trace)
     return sym.relabel(adv, label), k, None if v is None else label[v], bad, trace
 
 
@@ -425,13 +394,13 @@ def _landings(sym: Symmetry, st: tuple) -> list[tuple[int, int]]:
 
 def _propagate_labelled(
     p: HybridParams, sym: Symmetry, step_list: list[Step]
-) -> tuple[dict[tuple, int], int]:
-    """The final canonical states of a list whose steps only compare
-    values, with their masses over ``2^bits``, and bits."""
+) -> dict[tuple[bool, bool], Fraction]:
+    """:func:`propagate` over canonical states, for a list whose steps
+    only compare values."""
     canonical = partial(_canonical, sym)
-    dist = {canonical((p.adversary.initial(), None, None, False, _Trace())): 1}
+    dist = {canonical((p.adversary.initial(), None, None, False, ())): 1}
     bits = 0
-    for fn, draw, clear in plan(step_list, dict_narrow):
+    for fn, draw, clear in plan(step_list):
         bits += p.eta if draw else 0
         finish = canonical if clear is None else lambda st, _clear=clear: canonical(_clear(st))
         dist = merge(
@@ -439,33 +408,14 @@ def _propagate_labelled(
             for st, mass in dist.items()
             for x, weight in (_landings(sym, st) if draw else ((0, 1),))
         )
-    return dist, bits
+    return _joint(p, dist, bits)
 
 
 # ---------------------------------------------------------------- the sampler
 #
 # One path per trial over the propagator's slots, the adversary slot
-# holding its fold, except that the oracle slot holds a dict from query
-# input to answer. Each op is a step's (rule, fn): when it draws a block,
+# holding its fold. Each op is a step's (rule, fn): when it draws a block,
 # as data the runner reads, and the state it leaves.
-
-
-def dict_query(p: HybridParams, cache: bool, visible: bool) -> Callable[[tuple, Any], tuple]:
-    """The sampler's chain query on a dict trace. An rf query on a
-    repeated input takes no block (its rule is NEW_INPUT)."""
-    eta, absorb = p.eta, p.adversary.absorb
-
-    def fn(st: tuple, x: int | None) -> tuple:
-        adv, k, v, bad, trace = st
-        if v in trace:
-            bad = True
-            if cache:
-                x = trace[v]
-        else:
-            trace = {**trace, v: x}
-        return (absorb(adv, x, eta) if visible else adv), k, x, bad, trace
-
-    return fn
 
 
 def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = False) -> Flat:
@@ -480,7 +430,7 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     the trial's stream, ``prob.sample`` calls; it can only be sampled.
     """
     eta, adv = p.eta, p.adversary
-    ops = [(s.rule, s.fn) for s in steps(p, game, shapes, dict_query)]
+    ops = [(s.rule, s.fn) for s in steps(p, game, shapes)]
 
     def finish(st: tuple) -> Comp:
         answer = adv.answer(st[ADV])
@@ -493,11 +443,11 @@ def sampler(p: HybridParams, game: str, shapes: list[str], with_bad: bool = Fals
     def run(stream: Any) -> Comp:
         bits, st = stream.bits, start
         for rule, fn in ops:
-            if rule is NEVER or rule is NEW_INPUT and st[V] in st[ORC]:
+            if rule is NEVER or rule is NEW_INPUT and st[V] in dict(st[ORC]):
                 st = fn(st, None)
             else:
                 st = fn(st, bits(eta))
         return finish(st)
 
-    start = (adv.initial(), None, None, False, {})
+    start = (adv.initial(), None, None, False, ())
     return Flat(run)

@@ -27,12 +27,12 @@ tree, the specification, and
 exact path, the factored evaluator (:mod:`.factored`), writes each game
 once as a list of steps (draw an eta-bit block, run one deterministic
 generate call, answer one oracle query) and propagates them forward over
-merged integer states (adversary fold, k, v, bad, oracle state). Each
+merged integer states (adversary fold, k, v, bad, oracle trace). Each
 draw is moved to its first read, and a sample nothing reads is not
 drawn, so it marginalizes out. A backward liveness pass over the step
 list finds the slots that no later step reads, and each step empties
 them before its states merge; the step before the oracle's last query
-also empties every field of the oracle trace but the one that query
+also empties every entry of the oracle trace but the one that query
 reads. So states that differ only there are lumped. Every mass is a
 Python int over an implicit ``2^bits`` denominator until the game ends.
 Tests pin it to the reference on every game family. A list with no
@@ -634,7 +634,7 @@ class GameEvaluator:
     list (draw an eta-bit block, run a deterministic generate call,
     answer an oracle query) propagated forward over merged integer
     states, with each draw moved to its first read, the slots no later
-    step reads emptied, the oracle trace narrowed to the one field its
+    step reads emptied, the oracle trace narrowed to the one entry its
     last query reads, and masses kept as ints over a ``2^bits``
     denominator until the game ends. A list with no generate call, under
     a fold with a symmetric form, runs over labelled states, which lump
