@@ -866,13 +866,18 @@ class TestLeanSampler:
          "return absorb(st[ADV], x, eta), st[K], x, st[BAD], st[ORC]",
          "return st[ADV], st[K], x, st[BAD], st[ORC]",
          ("calibration", "exact")),
-        # rf keeps no answers, so it never sees a repeat, in every
-        # interpreter: the sampler, the concrete and the labelled
-        # propagator share the one query body
-        ("rf forgets its cache",
+        # rf keeps no answers, so it never sees a repeat. The sampler and
+        # the propagators share the one query body; each mutant installs
+        # it in one interpreter alone (see ALONE), so only that
+        # interpreter's pins may see it
+        ("rf forgets its cache in the propagator",
          "trace += ((v, x),)",
          "trace += () if cache else ((v, x),)",
-         ("calibration", "exact", "labelled")),
+         ("exact", "labelled")),
+        ("rf forgets its cache in the sampler",
+         "trace += ((v, x),)",
+         "trace += () if cache else ((v, x),)",
+         ("calibration",)),
         # the runner's new-input test alone, the step list unchanged: as
         # with the rule above, only coins drawn after the shifted blocks
         # show it
@@ -960,6 +965,12 @@ class TestLeanSampler:
         "labelled": labelled_mismatches,
         "language": language_mismatches,
     }
+    # the one of games' interpreters a mutant named here is installed in;
+    # every other mutant replaces both
+    ALONE = {
+        "rf forgets its cache in the propagator": "propagate",
+        "rf forgets its cache in the sampler": "sampler",
+    }
     # read when this module is imported: an edit to the tree during a run
     # then cannot move a mutated line away from the loaded code
     SOURCE = inspect.getsource(factored)
@@ -972,8 +983,8 @@ class TestLeanSampler:
         assert source.count(line) == 1, "the mutated line must be in factored once"
         namespace = {"__name__": "drbglab._mutant", "__package__": "drbglab"}
         exec(compile(source.replace(line, mutation), factored.__file__, "exec"), namespace)
-        monkeypatch.setattr(games, "sampler", namespace["sampler"])
-        monkeypatch.setattr(games, "propagate", namespace["propagate"])
+        for name in [self.ALONE[what]] if what in self.ALONE else ["sampler", "propagate"]:
+            monkeypatch.setattr(games, name, namespace[name])
         monkeypatch.setattr(factored, "generate", namespace["generate"])
 
         def kills(pin: str) -> bool:
