@@ -33,6 +33,19 @@ eta bits to the common ``2^bits`` denominator, and a state that ignores
 the drawn block (a random-function cache hit) collects all ``2^eta``
 equal shares. Every mass is a Python int until the game ends.
 
+A generate call is deterministic: its outputs and new (k, v) depend
+only on (k, v). So each generate step keeps a table from (k, v) to
+that result (:func:`generate`), and a pair pays for the call's n+1 or
+n+2 PRF calls once, however many states or trials reach it; a state
+then only absorbs the stored outputs into its fold. Every interpreter
+runs that one kernel. A draw-only step writes a slot that is dead
+before it, so its states never merge; when the step after it takes no
+block (the generate call that reads the drawn key or v), the concrete
+interpreter runs the two as one transition and never builds the
+``2^eta`` times larger dict between them. Each transition of either
+propagator is one loop, :func:`merge`: every state, every landing of
+its block, one merged point.
+
 When no step of a list reads K (the PRF, the one operation that reads
 a value beyond equality, runs only in generate calls, on their key) and
 the adversary's fold has a symmetric form (``adversary.symmetric``),
@@ -53,7 +66,8 @@ reference tests pin it to.
 
 The sampler (:func:`sampler`) runs the same list as it stands, drawing
 by each step's rule, because a seeded trial must give the faithful
-tree's outcome. It returns one ``prob.Flat`` node whose runner, one loop
+tree's outcome; a generate step's table serves every trial of the
+node. It returns one ``prob.Flat`` node whose runner, one loop
 over the steps on a trial's SplitMix64 stream, ``prob.sample`` calls. So
 ``prob.sample`` and ``estimate_pr_true`` run it unchanged, and a trial
 builds no node before the adversary answers. The node can only be
@@ -101,23 +115,44 @@ class Step(NamedTuple):
     fn: Callable[[tuple, Any], tuple]  # (state, block) -> state
 
 
+# the rows a generate call's table keeps before it is emptied: every
+# (k, v) pair up to eta 6
+TABLE_ROWS = 1 << 12
+
+
 def generate(
     p: HybridParams, shape: str, absorb: Callable[[Any, int, int], Any]
 ) -> Callable[[tuple, int | None], tuple]:
     """One deterministic generate call in 'spec', 'nov' or 'v' shape,
-    each output value absorbed into the adversary slot."""
+    each output value absorbed into the adversary slot. The call's
+    outputs and new (k, v) depend only on (k, v), so they are computed
+    once per pair and kept in this step's table; a state then only
+    absorbs the stored outputs."""
     eta, n, f = p.eta, p.blocks_per_call, p.prf_int
+    table: dict[tuple[int, int], tuple[tuple[int, ...], int, int]] = {}
+
+    def call(k: int, v: int) -> tuple[tuple[int, ...], int, int]:
+        w = f(k, "c", v) if shape == "v" else v
+        outputs = []
+        for _ in range(n):
+            w = f(k, "c", w)
+            outputs.append(w)
+        k2 = f(k, "r", w)
+        if shape == "spec":
+            w = f(k2, "c", w)
+        return tuple(outputs), k2, w
 
     def fn(st: tuple, x: int | None) -> tuple:
         adv, k, v, bad, orc = st
-        if shape == "v":
-            v = f(k, "c", v)
-        for _ in range(n):
-            v = f(k, "c", v)
-            adv = absorb(adv, v, eta)
-        k2 = f(k, "r", v)
-        if shape == "spec":
-            v = f(k2, "c", v)
+        key = k, v
+        row = table.get(key)
+        if row is None:
+            if len(table) >= TABLE_ROWS:
+                table.clear()
+            row = table[key] = call(k, v)
+        outputs, k2, v = row
+        for y in outputs:
+            adv = absorb(adv, y, eta)
         return adv, k2, v, bad, orc
 
     return fn
@@ -271,10 +306,29 @@ def plan(step_list: list[Step]) -> list[Plan]:
     return plans
 
 
-def merge(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
+def _still(st: tuple) -> tuple[tuple[int, int], ...]:
+    """Where a step that takes no block lands: block 0, weight 1."""
+    return ((0, 1),)
+
+
+def merge(
+    dist: dict[Any, int],
+    fn: Callable[[Any, int], Any],
+    landings: Callable[[Any], Iterable[tuple[int, int]]],
+    clear: Callable[[Any], Any] | None = None,
+) -> dict[Any, int]:
+    """One transition of a propagator: each state in dist goes by fn,
+    then clear when there is one, to a point for each of its landings, a
+    (block, weight) pair, and equal points merge, their masses times the
+    weights adding up."""
     out: dict[Any, int] = {}
-    for point, mass in pairs:
-        out[point] = out.get(point, 0) + mass
+    get = out.get
+    for st, mass in dist.items():
+        for x, weight in landings(st):
+            point = fn(st, x)
+            if clear is not None:
+                point = clear(point)
+            out[point] = get(point, 0) + mass * weight
     return out
 
 
@@ -296,20 +350,34 @@ def _propagate_concrete(
     p: HybridParams, step_list: list[Step]
 ) -> dict[tuple[bool, bool], Fraction]:
     """:func:`propagate` over every concrete block value: the reference
-    the labelled path is pinned to."""
-    space = range(1 << p.eta)
+    the labelled path is pinned to. A draw-only step writes a slot dead
+    before it, so its states never merge; when the step after it takes
+    no block, the pair runs as one transition."""
+    space = tuple((x, 1) for x in range(1 << p.eta))
+    every = lambda st: space
+    draw_only = {step.fn for step in step_list if not step.reads and step.rule is not NEVER}
     dist = {(p.adversary.initial(), None, None, False, ()): 1}
     bits = 0
-
-    for fn, draw, clear in plan(step_list):
+    plans = plan(step_list)
+    put = None  # a draw-only step held for the next, with which it runs
+    for at, (fn, draw, clear) in enumerate(plans):
         # a step whose rule is NEVER takes no block; an rf cache hit draws one and ignores it
-        xs = space if draw else (0,)
         bits += p.eta if draw else 0
-        if clear is None:
-            dist = merge((fn(st, x), mass) for st, mass in dist.items() for x in xs)
-        else:
-            dist = merge((clear(fn(st, x)), mass) for st, mass in dist.items() for x in xs)
+        # plan empties no slot at a draw-only step: its slot is read next,
+        # and every other dead slot was emptied before it
+        if fn in draw_only and at + 1 < len(plans) and not plans[at + 1].draw:
+            put = fn
+            continue
+        if put is not None:  # the reader takes no block: it is handed the draw's, and ignores it
+            fn, put, draw = partial(_fold, put, fn), None, True
+        dist = merge(dist, fn, every if draw else _still, clear)
     return _joint(p, dist, bits)
+
+
+def _fold(put: Callable[[tuple, int], tuple], fn: Callable[[tuple, int], tuple],
+          st: tuple, x: int) -> tuple:
+    """A draw-only step, then the step after it, as one transition."""
+    return fn(put(st, x), x)
 
 
 def _joint(p: HybridParams, dist: dict[tuple, int], bits: int) -> dict[tuple[bool, bool], Fraction]:
@@ -318,7 +386,8 @@ def _joint(p: HybridParams, dist: dict[tuple, int], bits: int) -> dict[tuple[boo
     adv = p.adversary
     # an int while every answer is a Return
     joint: dict[tuple[bool, bool], int | Fraction] = {}
-    for (adv_state, bad), mass in merge(((st[0], st[3]), m) for st, m in dist.items()).items():
+    ends = merge(dist, lambda st, x: (st[ADV], st[BAD]), _still)
+    for (adv_state, bad), mass in ends.items():
         answer = adv.answer(adv_state)
         if isinstance(answer, Return):
             shares = ((truth(answer.value), mass),)
@@ -398,16 +467,13 @@ def _propagate_labelled(
     """:func:`propagate` over canonical states, for a list whose steps
     only compare values."""
     canonical = partial(_canonical, sym)
+    landings = partial(_landings, sym)
     dist = {canonical((p.adversary.initial(), None, None, False, ())): 1}
     bits = 0
     for fn, draw, clear in plan(step_list):
         bits += p.eta if draw else 0
         finish = canonical if clear is None else lambda st, _clear=clear: canonical(_clear(st))
-        dist = merge(
-            (finish(fn(st, x)), mass * weight)
-            for st, mass in dist.items()
-            for x, weight in (_landings(sym, st) if draw else ((0, 1),))
-        )
+        dist = merge(dist, fn, landings if draw else _still, finish)
     return _joint(p, dist, bits)
 
 

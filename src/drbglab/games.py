@@ -52,8 +52,9 @@ only PRF, the adversary folded as the factored evaluator folds it, and
 every block drawn in the faithful tree's order, so each seed gives the
 faithful tree's outcome. Tests pin it trial by trial to the faithful
 trees. Both interpreters call ``prf_int``, which for the default PRF is
-``prf.prf_small_int``: the LRU behind ``prf_small`` is the only PRF
-cache.
+``prf.prf_small_int``: the LRU behind ``prf_small`` is the only cache of
+single PRF calls. Each generate step of a list keeps its own table of
+whole calls by (k, v) (``factored.generate``), for every interpreter.
 """
 
 from __future__ import annotations
@@ -636,7 +637,11 @@ class GameEvaluator:
     states, with each draw moved to its first read, the slots no later
     step reads emptied, the oracle trace narrowed to the one entry its
     last query reads, and masses kept as ints over a ``2^bits``
-    denominator until the game ends. A list with no generate call, under
+    denominator until the game ends. Each generate call keeps a table
+    from (k, v) to its outputs and new (k, v), so a pair pays for its
+    PRF calls once, and a draw-only step runs as one transition with
+    the generate call after it that reads the drawn slot. A list with
+    no generate call, under
     a fold with a symmetric form, runs over labelled states, which lump
     states that differ by a relabelling of block values (Ip & Dill, FMSD
     1996; Kwiatkowska, Norman & Parker, CAV 2006); the admission rule is

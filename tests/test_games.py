@@ -738,7 +738,7 @@ def drbg_mismatches(states: int = 50) -> Iterator[tuple[int, int, int]]:
         )
         for _ in range(states):
             k, v = rng.getrandbits(256), rng.getrandbits(256)
-            blocks, k2, v2, _, _ = fn(((), k, v, False, 0), None)
+            blocks, k2, v2, _, _ = fn(((), k, v, False, ()), None)
             st = DrbgState(
                 key=k.to_bytes(32, "big"), v=v.to_bytes(32, "big"), reseed_counter=1,
                 entropy_len=32, prediction_resistance=False,
@@ -831,8 +831,9 @@ class TestLeanSampler:
 
     # Mutation analysis (DeMillo, Lipton & Sayward, "Hints on Test Data
     # Selection", IEEE Computer 1978): each one-line change to the shared
-    # step list, query body or trace narrowing, to the labelled states or
-    # to the runner must fail the pins named for it. The exact
+    # step list, generate call, query body or trace narrowing, to the
+    # concrete interpreter's fold, to the labelled states or to the
+    # runner must fail the pins named for it. The exact
     # and bad pins read the propagator, the labelled pin its labelled
     # path against the concrete one, the drbg pin the step list's generate
     # call, and the others the sampler. The exact pin must kill exactly
@@ -902,22 +903,38 @@ class TestLeanSampler:
         # holds for any function in place of the PRF, so none sees it;
         # the pins against the faithful trees, literals or the DRBG do
         ("the rekey uses the chain kind",
-         'k2 = f(k, "r", v)',
-         'k2 = f(k, "c", v)',
+         'k2 = f(k, "r", w)',
+         'k2 = f(k, "c", w)',
          ("grid, plain coin", "calibration", "exact", "drbg at eta 256")),
         # the generate call's shapes: each moves every later output
         ("the spec shape drops its final v update",
-         'v = f(k2, "c", v)',
-         "v = v",
+         'w = f(k2, "c", w)',
+         "w = w",
          ("calibration", "exact", "drbg at eta 256", "grid, plain coin")),
         ("the v shape skips its leading v update",
-         'if shape == "v":\n            v = f(k, "c", v)',
-         'if shape == "v":\n            pass',
+         'w = f(k, "c", v) if shape == "v" else v',
+         "w = v",
          ("calibration", "exact", "grid, plain coin")),
         ("the rekey reads the incoming v",
+         'k2 = f(k, "r", w)',
          'k2 = f(k, "r", v)',
-         'k2 = f(k, "r", st[V])',
          ("calibration", "exact", "drbg at eta 256", "grid, plain coin")),
+        # a generate call's table: a state whose k has a row from another
+        # v absorbs that v's outputs. The grid pin builds a node per
+        # trial, so each table serves one state, and the drbg pin's
+        # 256-bit keys never repeat: neither sees it
+        ("the table is keyed on k alone",
+         "key = k, v",
+         "key = k",
+         ("calibration", "exact", "language")),
+        # the concrete interpreter's fold of a draw-only step into its
+        # reader: an oracle call's first query then answers with its own
+        # input, and the masses sum to 2^-eta. Pr[bad] of two queries is
+        # 2^-eta either way, so the bad pin misses it
+        ("a folded draw hands its block to a reader that also draws",
+         "and at + 1 < len(plans) and not plans[at + 1].draw:",
+         "and at + 1 < len(plans):",
+         ("exact", "language")),
         # an equivalent mutant: a draw left in place may land in a slot
         # dead until it is overwritten, which scales every mass and the
         # denominator alike; no pin may kill it, the exact pin least of
@@ -1144,10 +1161,12 @@ class TestLumping:
     # the peak merged-state count of one game's propagation over concrete
     # states: 12,888, 9,136 and 22,968 before dead slots were emptied,
     # then 2,808, 6,672, 8,296 and 54,256 before the trace was narrowed
-    # for its last query. Over labelled states, the last entry
+    # for its last query. Over labelled states, the fifth entry. The last
+    # was 4,608 before a draw-only step ran as one transition with the
+    # generate call that reads its slot: the rekey's 2^eta fresh keys
     PEAKS = [((3, 2, 2), "gi_rf", 1, False, 512), ((3, 3, 2), "gi_rb", 2, False, 2304),
              ((3, 3, 2), "gi_rf", 2, False, 2304), ((4, 2, 2), "gi_rf", 1, False, 4096),
-             ((3, 3, 2), "gi_rf", 2, True, 6)]
+             ((3, 3, 2), "gi_rf", 2, True, 6), ((3, 3, 2), "gi_rb", 1, False, 592)]
 
     # ids leave the bound out, so tightening one keeps the test's name
     @pytest.mark.parametrize(
@@ -1157,8 +1176,8 @@ class TestLumping:
     def test_peak_states(self, point, game, j, labelled, bound, monkeypatch):
         merge, peak = factored.merge, [0]
 
-        def counted(pairs):
-            out = merge(pairs)
+        def counted(*transition):
+            out = merge(*transition)
             peak[0] = max(peak[0], len(out))
             return out
 
@@ -1169,6 +1188,7 @@ class TestLumping:
             factored.propagate(p, game, shapes)
         else:
             factored._propagate_concrete(p, factored.steps(p, game, shapes))
+        assert peak[0] > 0  # the hook sees the interpreter's transitions
         assert peak[0] <= bound
 
     def test_joints_memoized_by_shape_list(self, monkeypatch):
